@@ -5,10 +5,9 @@
 //! Two shapes per dataset: `top20` is the single-query latency through a
 //! sequential [`QueryContext`], `batch32` pushes the same workload through
 //! the parallel [`QueryEngine`] (pooled scratch state, all cores), i.e.
-//! the serving-layer throughput. A wave-width ablation (1/8/32/128 on
-//! copying_web(100k), 4 threads) measures what batching the adaptive
-//! scan's walk work buys — results are bit-identical at every width, so
-//! the ablation is pure throughput. All batch measurements are written to
+//! the serving-layer throughput. A fast-tier ablation on copying_web(100k),
+//! 4 threads, compares the MC scan with the linearized tier. All batch
+//! measurements are written to
 //! `BENCH_query.json` at the repo root — QPS plus p50/p95/p99 per-query
 //! latency (skipped in `-- --test` smoke mode, which also shrinks the
 //! fixtures so CI just checks the harness).
@@ -61,7 +60,6 @@ fn bench_query(c: &mut Criterion) {
             queries: workload.len() as u64,
             threads: engine.threads(),
             k: 20,
-            wave_width: opts.wave_width,
             elapsed_secs: batch.elapsed.as_secs_f64(),
             p50_us: batch.latency.p50.as_secs_f64() * 1e6,
             p95_us: batch.latency.p95.as_secs_f64() * 1e6,
@@ -71,58 +69,17 @@ fn bench_query(c: &mut Criterion) {
         report.push(entry);
     }
 
-    // Wave-width ablation: same graph, same queries, same (bit-identical)
-    // answers — only the scan's walk batching varies. 4 threads pins the
-    // acceptance configuration. The workload extends each candidate set
-    // with the distance-2 ball (`--ball 2` on the CLI): the default
-    // index-only candidate list is ~10 vertices per query, which makes
-    // batch queries enumerate-bound and leaves the scan — the stage the
-    // wave actually batches — with nothing to do. The ball workload is
-    // scan-bound (~13k scored candidates per query), so the ablation
-    // measures the kernel it varies.
+    // The fast-tier ablation's graph and engine: copying_web(100k) at 4
+    // threads.
     let n = if smoke { 2_000 } else { 100_000 };
     let g = srs_graph::gen::copying_web(n, 5, 0.8, 7);
     let index = TopKIndex::build(&g, &params, 9);
     let engine = QueryEngine::with_threads(&g, &index, 4);
     let queries = srs_graph::stats::sample_query_vertices(&g, 32, 13);
-    let workload = srs_graph::stats::sample_query_vertices(&g, if smoke { 16 } else { 256 }, 13);
-    for width in [1u32, 8, 32, 128] {
-        let wopts = QueryOptions { wave_width: width, candidate_ball: Some(2), ..QueryOptions::default() };
-        group.bench_function(BenchmarkId::new("wave_width", width), |b| {
-            let mut out = srs_search::BatchResult::new();
-            b.iter(|| {
-                engine.query_batch_into(&queries, 20, &wopts, &mut out);
-                out.totals
-            });
-        });
-        // Best-of-3 for the JSON artifact: single-shot wall times on a
-        // busy host swing ±15-20%, which would drown the width effect.
-        let batch = (0..3)
-            .map(|_| engine.query_batch(&workload, 20, &wopts))
-            .min_by(|a, b| a.elapsed.cmp(&b.elapsed))
-            .unwrap();
-        let entry = QueryBenchEntry {
-            dataset: format!("copying_web(n={}, m={}, ball=2)", g.num_vertices(), g.num_edges()),
-            queries: workload.len() as u64,
-            threads: engine.threads(),
-            k: 20,
-            wave_width: width,
-            elapsed_secs: batch.elapsed.as_secs_f64(),
-            p50_us: batch.latency.p50.as_secs_f64() * 1e6,
-            p95_us: batch.latency.p95.as_secs_f64() * 1e6,
-            p99_us: batch.latency.p99.as_secs_f64() * 1e6,
-        };
-        println!(
-            "  wave_width={width}: {:.0} queries/s (p99 {:.0} µs)",
-            entry.queries_per_sec(),
-            entry.p99_us
-        );
-        report.push(entry);
-    }
     // Fast-tier ablation, two workloads over the same graph: `hideg32`
     // is the 32 highest-degree vertices (the head Auto's degree
     // threshold names), `dwsample32` the degree-weighted 32-sample the
-    // wave groups use (the serving mix). Three arms each: `off` is the
+    // (the serving mix). Three arms each: `off` is the
     // ball-2 acceptance config (cheap, but scores far fewer vertices
     // than the tier); `off_ball3` widens the ball toward the tier's
     // full-graph recall — the like-for-like cost; `always` answers with
@@ -133,8 +90,8 @@ fn bench_query(c: &mut Criterion) {
     by_deg.sort_unstable_by_key(|&v| std::cmp::Reverse(g.in_degree(v) as u64 + g.out_degree(v) as u64));
     let hideg: Vec<u32> = by_deg[..32.min(by_deg.len())].to_vec();
     let tiers = [
-        ("off", QueryOptions { wave_width: 32, candidate_ball: Some(2), ..QueryOptions::default() }),
-        ("off_ball3", QueryOptions { wave_width: 32, candidate_ball: Some(3), ..QueryOptions::default() }),
+        ("off", QueryOptions { candidate_ball: Some(2), ..QueryOptions::default() }),
+        ("off_ball3", QueryOptions { candidate_ball: Some(3), ..QueryOptions::default() }),
         ("always", QueryOptions { fast_tier: srs_search::FastTier::Always, ..QueryOptions::default() }),
     ];
     for (wname, workload) in [("hideg32", &hideg), ("dwsample32", &queries)] {
@@ -161,7 +118,6 @@ fn bench_query(c: &mut Criterion) {
                 queries: workload.len() as u64,
                 threads: engine.threads(),
                 k: 20,
-                wave_width: topts.wave_width,
                 elapsed_secs: batch.elapsed.as_secs_f64(),
                 p50_us: batch.latency.p50.as_secs_f64() * 1e6,
                 p95_us: batch.latency.p95.as_secs_f64() * 1e6,

@@ -139,14 +139,29 @@ mod tests {
     }
 
     #[test]
-    fn threads_reduce_all_vertices_time() {
-        let cores = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-        if cores < 2 {
-            return; // nothing to measure on a single-core runner
+    fn all_vertices_split_is_exact_at_any_thread_count() {
+        // Wall-clock speedup is a benchmark figure, not a unit-test
+        // assertion. What the parallel split must guarantee is exact:
+        // the same answers at 1 and 4 threads, and every vertex answered
+        // exactly once (601 vertices leave the last chunk short).
+        use srs_search::all_vertices::all_topk;
+        let g = srs_graph::gen::copying_web(601, 4, 0.8, 5);
+        let params = SimRankParams { r_bounds: 1_000, ..Default::default() };
+        let index = TopKIndex::build(&g, &params, 3);
+        let opts = QueryOptions::default();
+        let (one, one_stats) = all_topk(&g, &index, 20, &opts, 1);
+        let (four, four_stats) = all_topk(&g, &index, 20, &opts, 4);
+        assert_eq!(one, four, "thread count changed an answer");
+        assert_eq!(four.len(), 601);
+        assert_eq!(four_stats.queries, 601);
+        // Batch totals are summed per worker chunk, so they equal the sum
+        // of one query per vertex only if the chunks partition the vertices.
+        let mut ctx = srs_search::QueryContext::new(&g, &index);
+        let mut per_vertex = srs_search::QueryStats::default();
+        for u in 0..g.num_vertices() {
+            per_vertex.accumulate(&ctx.query(u, 20, &opts).stats);
         }
-        let cfg = ReproConfig { max_vertices: 2_000, ..Default::default() };
-        let res = thread_sweep(&cfg, &[1, cores.min(4)]);
-        assert!(res[1].1 < res[0].1, "multithreaded {:?} not faster than single {:?}", res[1], res[0]);
-        crate::cache::clear();
+        assert_eq!(one_stats.totals, per_vertex);
+        assert_eq!(four_stats.totals, per_vertex);
     }
 }

@@ -22,9 +22,6 @@ pub struct QueryBenchEntry {
     pub threads: usize,
     /// Top-k requested per query.
     pub k: usize,
-    /// Wave width the adaptive scan batched its walk work at
-    /// (`QueryOptions::wave_width`; 1 = scalar scan).
-    pub wave_width: u32,
     /// Wall-clock seconds for the whole batch.
     pub elapsed_secs: f64,
     /// Median per-query latency, microseconds.
@@ -70,13 +67,12 @@ impl QueryBenchReport {
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"dataset\": {}, \"queries\": {}, \"threads\": {}, \"k\": {}, \
-                 \"wave_width\": {}, \"elapsed_secs\": {:.6}, \"qps\": {:.1}, \
+                 \"elapsed_secs\": {:.6}, \"qps\": {:.1}, \
                  \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}{}\n",
                 json_string(&e.dataset),
                 e.queries,
                 e.threads,
                 e.k,
-                e.wave_width,
                 e.elapsed_secs,
                 e.queries_per_sec(),
                 e.p50_us,
@@ -106,7 +102,6 @@ mod tests {
             queries,
             threads: 4,
             k: 20,
-            wave_width: 32,
             elapsed_secs: elapsed,
             p50_us: 100.0,
             p95_us: 250.0,
@@ -128,7 +123,6 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"dataset\": \"web-BerkStan(m=6143)\""));
         assert!(j.contains("\"qps\": 250.0"));
-        assert!(j.contains("\"wave_width\": 32"));
         assert!(j.contains("\"p99_us\": 400.0"));
         assert!(j.contains("\\\"quote\\\""));
         // Every entry line but the last carries a trailing comma.

@@ -22,12 +22,12 @@ usage:
                  [--reorder bfs|degree --graph-out FILE [--map-out FILE]]
   srs pack       --graph FILE --index FILE --out FILE.srs [--shards N]
   srs query      {--snapshot FILE.srs | --graph FILE --index FILE} --vertex V [--k 20]
-                 [--ball R] [--theta X] [--wave-width W] [--explain]
+                 [--ball R] [--theta X] [--explain]
                  [--fast-tier off|auto|always [--fast-tier-degree D] [--fast-tier-candidates C]]
   srs batch-query {--snapshot FILE.srs [--deltas D1,D2,...]
                   [--mmap [--verify-on-load] [--prefault]] | --graph FILE --index FILE}
                  [--vertices 1,2,3 | --queries N|FILE|- [--seed S]]
-                 [--k 20] [--threads T] [--ball R] [--theta X] [--wave-width W]
+                 [--k 20] [--threads T] [--ball R] [--theta X]
                  [--prune-theta-only] [--fast-tier off|auto|always]
                  [--metrics-out FILE] [--hits-out FILE] [--trace-out FILE.json]
   srs serve      --snapshot FILE.srs [--deltas D1,D2,...] [--staleness-depth N]
@@ -80,10 +80,12 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
 }
 
 /// Loads a graph, auto-detecting the format: section bundle (also how
-/// snapshots start), legacy binary CSR, or text edge list.
+/// snapshots start) or text edge list. Every binary artifact starts with
+/// an `SRS` magic and no edge list can, so binary files (including the
+/// retired `SRSCSR01` stream) get the binary reader's error.
 pub fn load_graph(path: &Path) -> Result<Graph, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    if srs_graph::container::is_bundle(&bytes) || bytes.starts_with(io::LEGACY_MAGIC) {
+    if bytes.starts_with(b"SRS") {
         io::read_binary(&bytes[..]).map_err(|e| format!("{}: {e}", path.display()))
     } else {
         io::read_edge_list(&bytes[..]).map_err(|e| format!("{}: {e}", path.display()))
@@ -328,9 +330,6 @@ fn query_options(args: &Args) -> Result<QueryOptions, String> {
     if let Some(t) = args.opt("theta") {
         opts.theta = Some(t.parse::<f64>().map_err(|e| format!("--theta: {e}"))?);
     }
-    // Wave width only changes how the scan batches its walk work; results
-    // are bit-identical at every width (1 disables batching).
-    opts.wave_width = args.get_or("wave-width", opts.wave_width)?;
     if let Some(ft) = args.opt("fast-tier") {
         opts.fast_tier = srs_search::FastTier::parse(ft)
             .ok_or_else(|| format!("--fast-tier `{ft}` (expected off|auto|always)"))?;
@@ -349,7 +348,6 @@ fn query(args: &Args) -> Result<String, String> {
         "k",
         "ball",
         "theta",
-        "wave-width",
         "fast-tier",
         "fast-tier-degree",
         "fast-tier-candidates",
@@ -400,7 +398,6 @@ fn batch_query(args: &Args) -> Result<String, String> {
         "threads",
         "ball",
         "theta",
-        "wave-width",
         "fast-tier",
         "fast-tier-degree",
         "fast-tier-candidates",
@@ -2246,16 +2243,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_query_wave_width_is_bit_identical() {
+    fn batch_query_hits_identical_across_threads() {
         let g_path = tmp("wv.bin");
         let i_path = tmp("wv.idx");
-        let h1 = tmp("wv_w1.tsv");
-        let h32 = tmp("wv_w32.tsv");
+        let h1 = tmp("wv_t1.tsv");
+        let h2 = tmp("wv_t2.tsv");
         run(&format!("generate --family web --n 300 --deg 4 --out {}", g_path.display())).unwrap();
         run(&format!("preprocess --graph {} --index {}", g_path.display(), i_path.display())).unwrap();
-        for (width, path) in [(1, &h1), (32, &h32)] {
+        for (threads, path) in [(1, &h1), (2, &h2)] {
             run(&format!(
-                "batch-query --graph {} --index {} --queries 12 --k 5 --wave-width {width} --hits-out {}",
+                "batch-query --graph {} --index {} --queries 12 --k 5 --threads {threads} --hits-out {}",
                 g_path.display(),
                 i_path.display(),
                 path.display()
@@ -2263,8 +2260,8 @@ mod tests {
             .unwrap();
         }
         let a = std::fs::read_to_string(&h1).unwrap();
-        let b = std::fs::read_to_string(&h32).unwrap();
-        assert_eq!(a, b, "wave width must not change any hit");
+        let b = std::fs::read_to_string(&h2).unwrap();
+        assert_eq!(a, b, "thread count must not change any hit");
         assert_eq!(a.lines().count(), 12, "one line per query");
         assert!(a.contains(':'), "hits carry scores: {a}");
         // Repeated vertices in a batch get answered once.
@@ -2275,7 +2272,7 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("deduped          2"), "{out}");
-        for f in [&g_path, &i_path, &h1, &h32] {
+        for f in [&g_path, &i_path, &h1, &h2] {
             std::fs::remove_file(f).ok();
         }
     }

@@ -27,4 +27,4 @@ pub mod walker;
 
 pub use obs::WalkStepCounts;
 pub use rng::Pcg32;
-pub use walker::{MultiFrontier, WalkEngine, WalkMatrix, WalkPositions, DEAD, PREFETCH_DIST};
+pub use walker::{WalkEngine, WalkMatrix, WalkPositions, DEAD, PREFETCH_DIST};

@@ -443,207 +443,6 @@ impl WalkPositions {
     }
 }
 
-/// A compacted live frontier holding walks from **many sources at once**,
-/// each walk tagged with the id of the source that spawned it. One wide
-/// [`MultiFrontier::step`] advances every source's walks through the same
-/// prefetch + gather pipeline as [`WalkEngine::step_frontier`], instead of
-/// one narrow kernel call per source — the batching move behind the
-/// wave-scored candidate scan.
-///
-/// # Per-source bit-identity
-///
-/// Each source `id` draws randomness only from `rngs[id]`, and compaction
-/// is stable, so the walks of one source keep their relative order and
-/// consume their RNG stream in exactly the order a dedicated
-/// single-source frontier would. Stepping sources `{a, b}` together is
-/// therefore bit-identical, per source, to stepping each alone with its
-/// own RNG — fusing frontiers changes *when* work happens, never what any
-/// source's walks do.
-///
-/// `observe` sees every surviving walk exactly once per step, in
-/// unspecified order — accumulate order-insensitively (integer counters).
-///
-/// A **deactivated** source ([`MultiFrontier::deactivate`]) has its
-/// remaining walks dropped administratively at the start of the next
-/// step: they take no descriptor step, draw nothing, and are not counted
-/// in the walk-step class counters (they are abandoned, not simulated).
-#[derive(Debug, Clone, Default)]
-pub struct MultiFrontier {
-    pos: Vec<VertexId>,
-    /// `ids[i]` = source id of live slot `i` (always aligned with `pos`).
-    ids: Vec<u32>,
-    /// Live walk count per source id.
-    live: Vec<u32>,
-    /// Whether each source still participates (false after `deactivate`).
-    active: Vec<bool>,
-}
-
-impl MultiFrontier {
-    /// An empty frontier with no sources.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Removes every walk and source, keeping allocations for reuse.
-    pub fn clear(&mut self) {
-        self.pos.clear();
-        self.ids.clear();
-        self.live.clear();
-        self.active.clear();
-    }
-
-    /// Adds a source with `r` walks at `start` and returns its id (ids
-    /// are assigned 0, 1, 2, … in push order).
-    pub fn push_source(&mut self, start: VertexId, r: usize) -> u32 {
-        let id = self.live.len() as u32;
-        self.pos.resize(self.pos.len() + r, start);
-        self.ids.resize(self.ids.len() + r, id);
-        self.live.push(r as u32);
-        self.active.push(true);
-        id
-    }
-
-    /// Number of sources pushed (active or not).
-    pub fn num_sources(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Live walks of source `id` (0 once all died or after deactivation).
-    #[inline]
-    pub fn live(&self, id: u32) -> u32 {
-        self.live[id as usize]
-    }
-
-    /// Marks a source as done: its live count drops to 0 and its walks
-    /// are dropped (without stepping or drawing) on the next `step`.
-    pub fn deactivate(&mut self, id: u32) {
-        self.active[id as usize] = false;
-        self.live[id as usize] = 0;
-    }
-
-    /// Total live walks across all sources (deactivated walks linger here
-    /// until the next step physically drops them).
-    pub fn len(&self) -> usize {
-        self.pos.len()
-    }
-
-    /// Whether no walks remain in the buffer.
-    pub fn is_empty(&self) -> bool {
-        self.pos.is_empty()
-    }
-
-    /// Advances every active walk one reverse step through the pipelined
-    /// kernel (descriptor prefetch, ring-buffered in-CSR gathers, stable
-    /// compaction). `rngs[id]` supplies every draw of source `id`; see
-    /// the type docs for the per-source bit-identity guarantee.
-    pub fn step(&mut self, engine: &WalkEngine, rngs: &mut [Pcg32], mut observe: impl FnMut(u32, VertexId)) {
-        debug_assert_eq!(rngs.len(), self.live.len(), "one RNG per source");
-        let g = engine.graph();
-        let n = self.pos.len();
-        let mut ring = [PendingGather { slot: 0, src: 0 }; GATHER_LANES];
-        let mut ring_head = 0usize;
-        let mut ring_len = 0usize;
-        let mut write = 0usize;
-        let mut branches = 0u64;
-        let mut dropped = 0usize;
-        // Walks of one source stay contiguous (stable compaction), so the
-        // source's RNG is kept in registers across the run instead of
-        // being re-indexed per draw; the stream each source consumes is
-        // unchanged.
-        let mut cur_id = u32::MAX;
-        let mut cur_rng = Pcg32::new(0, 0);
-        for read in 0..n {
-            if let Some(&ahead) = self.pos.get(read + PREFETCH_DIST) {
-                g.prefetch_reverse_step(ahead);
-            }
-            let id = self.ids[read];
-            if !self.active[id as usize] {
-                // Administrative drop of a deactivated source's walk: no
-                // descriptor step, no draw, no class accounting.
-                dropped += 1;
-                continue;
-            }
-            let pos = self.pos[read];
-            match g.reverse_step(pos) {
-                ReverseStep::Dead => {
-                    self.live[id as usize] -= 1;
-                }
-                ReverseStep::Unique(w) => {
-                    self.pos[write] = w;
-                    self.ids[write] = id;
-                    observe(id, w);
-                    write += 1;
-                }
-                ReverseStep::Branch { offset, len } => {
-                    branches += 1;
-                    if id != cur_id {
-                        if cur_id != u32::MAX {
-                            rngs[cur_id as usize] = cur_rng.clone();
-                        }
-                        cur_id = id;
-                        cur_rng = rngs[id as usize].clone();
-                    }
-                    let src = offset + cur_rng.gen_range(len) as u64;
-                    g.prefetch_in_source(src);
-                    if ring_len == GATHER_LANES {
-                        let done = ring[ring_head];
-                        ring_head = (ring_head + 1) % GATHER_LANES;
-                        ring_len -= 1;
-                        let w = g.in_source_at(done.src);
-                        self.pos[done.slot] = w;
-                        observe(self.ids[done.slot], w);
-                    }
-                    // The id is final at slot-assignment time even though
-                    // the position lands later via the ring.
-                    self.ids[write] = id;
-                    ring[(ring_head + ring_len) % GATHER_LANES] = PendingGather { slot: write, src };
-                    ring_len += 1;
-                    write += 1;
-                }
-            }
-        }
-        if cur_id != u32::MAX {
-            rngs[cur_id as usize] = cur_rng;
-        }
-        while ring_len > 0 {
-            let done = ring[ring_head];
-            ring_head = (ring_head + 1) % GATHER_LANES;
-            ring_len -= 1;
-            let w = g.in_source_at(done.src);
-            self.pos[done.slot] = w;
-            observe(self.ids[done.slot], w);
-        }
-        self.pos.truncate(write);
-        self.ids.truncate(write);
-        obs::record([(n - write - dropped) as u64, write as u64 - branches, branches]);
-    }
-
-    /// [`MultiFrontier::step`] with the wave kernels' strided emit
-    /// layout: each surviving walk of source `id` lands at
-    /// `rows[id * stride + lens[id]]` (then `lens[id]` is bumped), so a
-    /// source's positions this step form the contiguous row
-    /// `rows[id*stride .. id*stride + lens[id]]`. Callers size `rows` to
-    /// `sources * stride` with `stride >=` the source's pushed walk
-    /// count and zero `lens` beforehand; slots past `lens[id]` are never
-    /// written, so pre-filling rows with [`DEAD`] (which no walk can
-    /// occupy) yields fixed-width rows a SIMD comparator can scan
-    /// without length checks.
-    pub fn step_strided(
-        &mut self,
-        engine: &WalkEngine,
-        rngs: &mut [Pcg32],
-        rows: &mut [VertexId],
-        stride: usize,
-        lens: &mut [u32],
-    ) {
-        self.step(engine, rngs, |id, w| {
-            let i = id as usize;
-            rows[i * stride + lens[i] as usize] = w;
-            lens[i] += 1;
-        });
-    }
-}
-
 /// `R` recorded reverse-walk trajectories of length `T` from one source.
 /// Row-major: trajectory `i` occupies `positions[i*(T+1) .. (i+1)*(T+1)]`.
 #[derive(Debug, Clone)]
@@ -887,87 +686,6 @@ mod tests {
             }
         }
         assert_eq!(tracked.num_walks(), 64);
-    }
-
-    #[test]
-    fn multi_frontier_matches_independent_frontiers_per_source() {
-        // Fusing many sources into one wide frontier must leave every
-        // source's walks bit-identical to stepping that source alone with
-        // its own RNG: same positions, same relative order, same live
-        // counts, same RNG states afterwards.
-        let g = gen::copying_web(300, 4, 0.8, 19);
-        let e = WalkEngine::new(&g);
-        let sources: Vec<(VertexId, usize)> = vec![(3, 10), (250, 1), (77, 25), (3, 10), (199, 0), (42, 7)];
-        let mut multi = MultiFrontier::new();
-        let mut rngs: Vec<Pcg32> = Vec::new();
-        let mut solo: Vec<(Vec<VertexId>, Pcg32)> = Vec::new();
-        for (i, &(start, r)) in sources.iter().enumerate() {
-            let id = multi.push_source(start, r);
-            assert_eq!(id as usize, i);
-            let rng = Pcg32::from_parts(&[55, i as u64]);
-            rngs.push(rng.clone());
-            solo.push((vec![start; r], rng));
-        }
-        assert_eq!(multi.num_sources(), sources.len());
-        let mut seen: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); sources.len()];
-        for step in 0..8 {
-            for s in &mut seen {
-                s.clear();
-            }
-            multi.step(&e, &mut rngs, |id, w| seen[id as usize].push((id, w)));
-            for (i, (pos, rng)) in solo.iter_mut().enumerate() {
-                e.step_frontier(pos, rng);
-                assert_eq!(multi.live(i as u32) as usize, pos.len(), "source {i} step {step}");
-                assert_eq!(rngs[i], *rng, "source {i} step {step}: RNG streams diverged");
-                // observe saw exactly the surviving positions (order within
-                // a source is the stable frontier order).
-                let observed: Vec<VertexId> = seen[i].iter().map(|&(_, w)| w).collect();
-                let mut sorted_obs = observed.clone();
-                let mut sorted_ref = pos.clone();
-                sorted_obs.sort_unstable();
-                sorted_ref.sort_unstable();
-                assert_eq!(sorted_obs, sorted_ref, "source {i} step {step}");
-            }
-            // The compacted buffer holds each source's walks in stable
-            // per-source order, matching the solo frontier exactly.
-            let mut per_source: Vec<Vec<VertexId>> = vec![Vec::new(); sources.len()];
-            for (slot, &id) in multi.ids.iter().enumerate() {
-                per_source[id as usize].push(multi.pos[slot]);
-            }
-            for (i, (pos, _)) in solo.iter().enumerate() {
-                assert_eq!(&per_source[i], pos, "source {i} step {step}");
-            }
-        }
-    }
-
-    #[test]
-    fn multi_frontier_deactivation_drops_without_stepping() {
-        let g = gen::copying_web(200, 4, 0.8, 23);
-        let e = WalkEngine::new(&g);
-        let mut multi = MultiFrontier::new();
-        let a = multi.push_source(5, 16);
-        let b = multi.push_source(9, 16);
-        let mut rngs = vec![Pcg32::new(1, 1), Pcg32::new(2, 2)];
-        multi.step(&e, &mut rngs, |_, _| {});
-        let live_b = multi.live(b);
-        multi.deactivate(a);
-        assert_eq!(multi.live(a), 0);
-        let rng_a_before = rngs[0].clone();
-        let mut observed_a = 0u32;
-        multi.step(&e, &mut rngs, |id, _| {
-            if id == a {
-                observed_a += 1;
-            }
-        });
-        assert_eq!(observed_a, 0, "deactivated source must not be observed");
-        assert_eq!(rngs[0], rng_a_before, "deactivated source must not draw");
-        assert!(multi.live(b) <= live_b);
-        assert!(multi.ids.iter().all(|&id| id == b), "a's walks were dropped");
-        // clear() empties everything for reuse.
-        multi.clear();
-        assert!(multi.is_empty());
-        assert_eq!(multi.num_sources(), 0);
-        assert_eq!(multi.len(), 0);
     }
 
     #[test]

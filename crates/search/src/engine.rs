@@ -1277,8 +1277,8 @@ mod tests {
         // Different k or options are different cache entries.
         let other_k = engine.query(7, 3, &opts);
         assert!(other_k.hits.len() <= 3);
-        let other_opts = engine.query(7, 5, &QueryOptions { wave_width: 1, ..Default::default() });
-        assert_eq!(other_opts.hits, cold.hits, "wave width never changes answers");
+        let other_opts = engine.query(7, 5, &QueryOptions { explain: true, ..Default::default() });
+        assert_eq!(other_opts.hits, cold.hits, "explain never changes answers");
         assert_eq!(m.cache_misses.get(), 3);
         assert_eq!(engine.cached_results(), 3);
     }
@@ -1353,17 +1353,17 @@ mod tests {
         let (g, idx) = build();
         let engine = ServingEngine::with_threads(Dataset::new(g, idx).unwrap(), 2);
         let defaults = Arc::new(QueryOptions::default());
-        let scalar = Arc::new(QueryOptions { wave_width: 1, ..Default::default() });
+        let explained = Arc::new(QueryOptions { explain: true, ..Default::default() });
         let wave: Vec<WaveQuery> = vec![
             WaveQuery { vertex: 3, k: 5, opts: Arc::clone(&defaults) },
             WaveQuery { vertex: 9, k: 5, opts: Arc::clone(&defaults) },
             WaveQuery { vertex: 3, k: 2, opts: Arc::clone(&defaults) },
-            WaveQuery { vertex: 11, k: 5, opts: Arc::clone(&scalar) },
+            WaveQuery { vertex: 11, k: 5, opts: Arc::clone(&explained) },
             WaveQuery { vertex: 14, k: 5, opts: Arc::clone(&defaults) },
         ];
         let outcome = engine.query_wave(&wave);
         assert_eq!(outcome.results.len(), wave.len());
-        // Three groups: (k=5, defaults) ×3, (k=2, defaults) ×1, (k=5, scalar) ×1.
+        // Three groups: (k=5, defaults) ×3, (k=2, defaults) ×1, (k=5, explained) ×1.
         let mut sizes = outcome.batch_sizes.clone();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![1, 1, 3]);
@@ -1420,7 +1420,7 @@ mod tests {
         let base = QueryOptions::default();
         assert_eq!(base.fingerprint(), QueryOptions::default().fingerprint());
         for changed in [
-            QueryOptions { wave_width: 1, ..Default::default() },
+            QueryOptions { share_source_walks: true, ..Default::default() },
             QueryOptions { theta: Some(0.05), ..Default::default() },
             QueryOptions { candidate_ball: Some(2), ..Default::default() },
             QueryOptions { explain: true, ..Default::default() },

@@ -30,7 +30,6 @@
 pub mod all_vertices;
 pub mod bounds;
 pub mod chain;
-pub mod colocate;
 pub mod engine;
 pub mod extend;
 pub mod index;
@@ -46,11 +45,11 @@ pub use chain::{build_delta, compact_chain, load_chain, BuiltDelta, ChainInfo, D
 pub use engine::{
     AppliedDelta, BatchResult, LatencySummary, QueryEngine, ServingEngine, WaveOutcome, WaveQuery,
 };
-pub use extend::{extend_appended, extend_delta, ExtendError, ExtendOutcome, ExtendStats};
+pub use extend::{extend_delta, ExtendError, ExtendOutcome, ExtendStats};
 pub use index::SeenStamps;
 pub use obs::{BuildObs, ServingMetrics, StageTimings};
 pub use sharded::{EngineHandle, ShardedEngine};
-pub use single_pair::{SinglePairEstimator, WaveEstimator};
+pub use single_pair::SinglePairEstimator;
 pub use snapshot::{
     load_snapshot, Dataset, LoadOptions, Loaded, ShardedDataset, SnapshotInfo, SnapshotVerifier,
 };

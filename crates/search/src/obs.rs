@@ -19,9 +19,6 @@
 //! | `srs_query_candidates_total` | counter | |
 //! | `srs_query_candidate_fates_total` | counter | `fate` |
 //! | `srs_query_bfs_visited_total` | counter | |
-//! | `srs_query_waves_total` | counter | |
-//! | `srs_query_wave_wasted_total` | counter | |
-//! | `srs_query_wave_survivors` | histogram | |
 //! | `srs_queries_deduped_total` | counter | |
 //! | `srs_cache_hits_total` / `srs_cache_misses_total` | counter | |
 //! | `srs_walk_steps_total` | counter | `class` |
@@ -104,12 +101,6 @@ pub struct ServingMetrics {
     pub fates: [Arc<Counter>; 5],
     /// `srs_query_bfs_visited_total`.
     pub bfs_visited: Arc<Counter>,
-    /// `srs_query_waves_total` (walk waves formed by the batched scan).
-    pub waves: Arc<Counter>,
-    /// `srs_query_wave_wasted_total` (precomputed estimates never used).
-    pub wave_wasted: Arc<Counter>,
-    /// `srs_query_wave_survivors` (per-wave survivor count distribution).
-    pub wave_survivors: Arc<Histogram>,
     /// `srs_queries_deduped_total` (batch queries answered by copying an
     /// identical query's result instead of recomputing it).
     pub deduped: Arc<Counter>,
@@ -231,10 +222,6 @@ impl ServingMetrics {
             candidates: r.counter("srs_query_candidates_total", "Candidates enumerated"),
             fates,
             bfs_visited: r.counter("srs_query_bfs_visited_total", "Vertices visited by query BFS"),
-            waves: r.counter("srs_query_waves_total", "Walk waves formed by the batched scan"),
-            wave_wasted: r
-                .counter("srs_query_wave_wasted_total", "Wave-precomputed estimates never consumed"),
-            wave_survivors: r.histogram("srs_query_wave_survivors", "Bound-surviving candidates per wave"),
             deduped: r.counter("srs_queries_deduped_total", "Batch queries answered via in-batch dedup"),
             cache_hits: r.counter("srs_cache_hits_total", "Queries answered from the result cache"),
             cache_misses: r.counter("srs_cache_misses_total", "Result-cache probes that missed"),
@@ -319,8 +306,6 @@ impl ServingMetrics {
         self.fates[3].add(s.refined);
         self.fates[4].add(s.reported);
         self.bfs_visited.add(s.bfs_visited);
-        self.waves.add(s.waves);
-        self.wave_wasted.add(s.wave_wasted);
         self.fast_tier_queries.add(s.fast_tier_queries);
         self.fast_tier_fallbacks.add(s.fast_tier_fallbacks);
     }
@@ -340,8 +325,6 @@ impl ServingMetrics {
 pub struct QueryLocalObs {
     /// Stage-duration cells, indexed by [`QUERY_STAGES`].
     pub stages: [LocalHistogram; 4],
-    /// Per-wave survivor counts from the batched scan.
-    pub wave_survivors: LocalHistogram,
     /// Linearized fast-tier answer durations.
     pub fast_tier: LocalHistogram,
 }
@@ -357,7 +340,6 @@ impl QueryLocalObs {
         for (local, shared) in self.stages.iter_mut().zip(&m.query_stages) {
             local.drain_into(shared);
         }
-        self.wave_survivors.drain_into(&m.wave_survivors);
         self.fast_tier.drain_into(&m.fast_tier_ns);
     }
 
@@ -367,7 +349,6 @@ impl QueryLocalObs {
         for s in &mut self.stages {
             s.clear();
         }
-        self.wave_survivors.clear();
         self.fast_tier.clear();
     }
 }
@@ -401,8 +382,6 @@ mod tests {
             reported: 2,
             bfs_visited: 50,
             walk_steps: 123,
-            waves: 2,
-            wave_wasted: 4,
             fast_tier_queries: 1,
             fast_tier_fallbacks: 2,
         });
@@ -416,9 +395,6 @@ mod tests {
             "srs_query_candidates_total",
             "srs_query_candidate_fates_total",
             "srs_query_bfs_visited_total",
-            "srs_query_waves_total",
-            "srs_query_wave_wasted_total",
-            "srs_query_wave_survivors",
             "srs_queries_deduped_total",
             "srs_cache_hits_total",
             "srs_cache_misses_total",
@@ -455,8 +431,6 @@ mod tests {
         // The fate family sums to the candidate count (identity holds).
         assert_eq!(snap.counter_total("srs_query_candidate_fates_total"), 10);
         assert_eq!(snap.counter_total("srs_walk_steps_total"), 6);
-        assert_eq!(snap.counter_total("srs_query_waves_total"), 2);
-        assert_eq!(snap.counter_total("srs_query_wave_wasted_total"), 4);
         assert_eq!(snap.counter_total("srs_query_fast_tier_queries_total"), 1);
         assert_eq!(snap.counter_total("srs_query_fast_tier_fallback_total"), 2);
         assert_eq!(snap.family("srs_query_candidate_fates_total").unwrap().samples.len(), 5);

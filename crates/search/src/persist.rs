@@ -10,9 +10,8 @@
 //! inverted candidate map is re-derived on load (cheaper than storing
 //! it).
 //!
-//! The legacy per-element `SRSIDX01` stream (deprecated) remains
-//! loadable: [`load`] switches on the magic. [`save`] always writes the
-//! bundle format.
+//! The retired per-element `SRSIDX01` stream is rejected by [`load`]
+//! with an error that names it.
 
 use crate::bounds::GammaTable;
 use crate::index::CandidateIndex;
@@ -59,9 +58,9 @@ impl From<BundleError> for PersistError {
     }
 }
 
-/// Magic of the legacy per-element stream (pre-bundle). Readable forever
-/// via [`load`]'s version switch; no longer written by [`save`].
-pub const LEGACY_MAGIC: &[u8; 8] = b"SRSIDX01";
+/// Magic of the retired per-element index stream, recognized only to
+/// name it in the rejection error.
+const RETIRED_MAGIC: &[u8; 8] = b"SRSIDX01";
 
 const SEC_INDEX_META: &str = "i.meta";
 const SEC_DIAG: &str = "i.diag";
@@ -339,9 +338,9 @@ pub fn save<W: Write>(index: &TopKIndex, w: W) -> Result<(), PersistError> {
     bundle.write_to(w).map_err(PersistError::from)
 }
 
-/// Deserializes an index, sniffing the format from the magic: `SRSBNDL1`
-/// bundles load as bulk sections (zero-copy), legacy `SRSIDX01` streams
-/// decode through the original per-element path.
+/// Deserializes a `SRSBNDL1` index bundle (bulk sections, zero-copy).
+/// Files in the retired per-element `SRSIDX01` format fail with an error
+/// naming it.
 pub fn load<R: Read>(mut r: R) -> Result<TopKIndex, PersistError> {
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
@@ -349,33 +348,17 @@ pub fn load<R: Read>(mut r: R) -> Result<TopKIndex, PersistError> {
         let reader = BundleReader::open(raw)?;
         return index_from_bundle(&reader);
     }
-    if raw.len() >= 8 && &raw[..8] == LEGACY_MAGIC {
-        return load_legacy(&raw);
+    if raw.starts_with(RETIRED_MAGIC) {
+        return Err(PersistError::Format(
+            "retired SRSIDX01 index format is no longer readable; rebuild the index with `srs preprocess`"
+                .into(),
+        ));
     }
     Err(PersistError::Format("bad magic".into()))
 }
 
-/// Structural validation shared by the bundle and legacy load paths,
-/// then assembly (re-deriving the inverted map). A corrupted artifact
+/// The shape/range scans behind [`read_index_core`]. A corrupted artifact
 /// must error here, not panic later.
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    params: SimRankParams,
-    seed: u64,
-    diag: Diagonal,
-    steps: u32,
-    gamma: SharedSlice<f32>,
-    n: u32,
-    offsets: SharedSlice<u64>,
-    entries: SharedSlice<VertexId>,
-) -> Result<TopKIndex, PersistError> {
-    validate_core(&params, &seed, &diag, steps, &gamma, n, &offsets, &entries)?;
-    let gamma = GammaTable::from_raw(steps, gamma);
-    let candidates = CandidateIndex::from_raw_parts(n, offsets, entries);
-    Ok(TopKIndex { params, diag, gamma, candidates, seed })
-}
-
-/// The shape/range scans behind [`assemble`] and [`read_index_core`].
 #[allow(clippy::too_many_arguments)]
 fn validate_core(
     params: &SimRankParams,
@@ -429,140 +412,6 @@ fn validate_core(
     Ok(())
 }
 
-/// Writes the **legacy** `SRSIDX01` per-element stream.
-///
-/// Deprecated in favour of the bundle format emitted by [`save`];
-/// retained so the legacy read path stays exercised by tests.
-pub fn save_legacy<W: Write>(index: &TopKIndex, mut w: W) -> Result<(), PersistError> {
-    let mut buf = Vec::new();
-    buf.put_slice(LEGACY_MAGIC);
-    // Parameters.
-    let p = &index.params;
-    buf.put_f64_le(p.c);
-    buf.put_u32_le(p.t);
-    buf.put_u32_le(p.r_refine);
-    buf.put_u32_le(p.r_coarse);
-    buf.put_u32_le(p.r_bounds);
-    buf.put_u32_le(p.r_gamma);
-    buf.put_u32_le(p.index_reps);
-    buf.put_u32_le(p.index_walks);
-    buf.put_u32_le(p.d_max);
-    buf.put_f64_le(p.theta);
-    buf.put_u64_le(index.seed);
-    // Diagonal.
-    match &index.diag {
-        Diagonal::Uniform(x) => {
-            buf.put_u8(0);
-            buf.put_f64_le(*x);
-        }
-        Diagonal::PerVertex(v) => {
-            buf.put_u8(1);
-            buf.put_u64_le(v.len() as u64);
-            for &x in v.iter() {
-                buf.put_f64_le(x);
-            }
-        }
-    }
-    // Gamma table.
-    let gamma = index.gamma.raw();
-    buf.put_u32_le(index.gamma.steps());
-    buf.put_u64_le(gamma.len() as u64);
-    for &x in gamma {
-        buf.put_f32_le(x);
-    }
-    // Candidate index (forward CSR only).
-    let (n, offsets, entries) = index.candidates.raw_parts();
-    buf.put_u32_le(n);
-    buf.put_u64_le(offsets.len() as u64);
-    for &o in offsets {
-        buf.put_u64_le(o);
-    }
-    buf.put_u64_le(entries.len() as u64);
-    for &e in entries {
-        buf.put_u32_le(e);
-    }
-    w.write_all(&buf)?;
-    Ok(())
-}
-
-/// Decodes the legacy `SRSIDX01` per-element stream (magic already
-/// sniffed by [`load`]).
-fn load_legacy(raw: &[u8]) -> Result<TopKIndex, PersistError> {
-    let mut buf = raw;
-    let need = |buf: &&[u8], n: usize| -> Result<(), PersistError> {
-        if buf.remaining() < n {
-            Err(PersistError::Format("truncated stream".into()))
-        } else {
-            Ok(())
-        }
-    };
-    // Length fields are untrusted: multiply with overflow checking so a
-    // corrupted count can never wrap past the truncation check and reach
-    // an allocation.
-    let span = |count: usize, width: usize| -> Result<usize, PersistError> {
-        count.checked_mul(width).ok_or_else(|| PersistError::Format("length overflow".into()))
-    };
-    buf.advance(8); // magic, validated by the caller
-    need(&buf, 8 + 4 * 9 + 8 + 8 + 1)?;
-    let params = SimRankParams {
-        c: buf.get_f64_le(),
-        t: buf.get_u32_le(),
-        r_refine: buf.get_u32_le(),
-        r_coarse: buf.get_u32_le(),
-        r_bounds: buf.get_u32_le(),
-        r_gamma: buf.get_u32_le(),
-        index_reps: buf.get_u32_le(),
-        index_walks: buf.get_u32_le(),
-        d_max: buf.get_u32_le(),
-        theta: buf.get_f64_le(),
-    };
-    let seed = buf.get_u64_le();
-    let diag = match buf.get_u8() {
-        0 => {
-            need(&buf, 8)?;
-            Diagonal::Uniform(buf.get_f64_le())
-        }
-        1 => {
-            need(&buf, 8)?;
-            let len = buf.get_u64_le() as usize;
-            need(&buf, span(len, 8)?)?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(buf.get_f64_le());
-            }
-            Diagonal::PerVertex(std::sync::Arc::new(v))
-        }
-        other => return Err(PersistError::Format(format!("unknown diagonal tag {other}"))),
-    };
-    need(&buf, 12)?;
-    let steps = buf.get_u32_le();
-    let glen = buf.get_u64_le() as usize;
-    need(&buf, span(glen, 4)?)?;
-    let mut gamma = Vec::with_capacity(glen);
-    for _ in 0..glen {
-        gamma.push(buf.get_f32_le());
-    }
-    need(&buf, 12)?;
-    let n = buf.get_u32_le();
-    let olen = buf.get_u64_le() as usize;
-    if olen != n as usize + 1 {
-        return Err(PersistError::Format("offsets shape mismatch".into()));
-    }
-    need(&buf, span(olen, 8)?)?;
-    let mut offsets = Vec::with_capacity(olen);
-    for _ in 0..olen {
-        offsets.push(buf.get_u64_le());
-    }
-    need(&buf, 8)?;
-    let elen = buf.get_u64_le() as usize;
-    need(&buf, span(elen, 4)?)?;
-    let mut entries = Vec::with_capacity(elen);
-    for _ in 0..elen {
-        entries.push(buf.get_u32_le());
-    }
-    assemble(params, seed, diag, steps, gamma.into(), n, offsets.into(), entries.into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,24 +455,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_stream_still_loads() {
-        let g = gen::copying_web(100, 4, 0.8, 7);
-        let idx = build_index(&g);
-        let mut legacy = Vec::new();
-        save_legacy(&idx, &mut legacy).unwrap();
-        assert_eq!(&legacy[..8], LEGACY_MAGIC);
-        let back = load(&legacy[..]).unwrap();
-        for u in [4u32, 55] {
-            let a = idx.query(&g, u, 5, &QueryOptions::default());
-            let b = back.query(&g, u, 5, &QueryOptions::default());
-            assert_eq!(a.hits, b.hits, "u={u}");
+    fn retired_stream_is_rejected_by_name() {
+        let mut raw = b"SRSIDX01".to_vec();
+        raw.extend_from_slice(&[0u8; 64]);
+        match load(&raw[..]) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("SRSIDX01"), "{msg}"),
+            other => panic!("expected a format error, got {other:?}"),
         }
-        // Both formats reconstruct the same index.
-        let mut bundle = Vec::new();
-        save(&idx, &mut bundle).unwrap();
-        let via_bundle = load(&bundle[..]).unwrap();
-        assert_eq!(via_bundle.candidates, back.candidates);
-        assert_eq!(via_bundle.gamma, back.gamma);
     }
 
     #[test]
@@ -637,17 +475,6 @@ mod tests {
         bad[3] ^= 0xFF;
         assert!(matches!(load(&bad[..]), Err(PersistError::Format(_))));
         // Truncation at arbitrary points must error, never panic.
-        for cut in [10, 60, buf.len() / 2, buf.len() - 2] {
-            assert!(load(&buf[..cut]).is_err(), "cut={cut}");
-        }
-    }
-
-    #[test]
-    fn legacy_rejects_corruption() {
-        let g = gen::erdos_renyi(30, 90, 1);
-        let idx = build_index(&g);
-        let mut buf = Vec::new();
-        save_legacy(&idx, &mut buf).unwrap();
         for cut in [10, 60, buf.len() / 2, buf.len() - 2] {
             assert!(load(&buf[..cut]).is_err(), "cut={cut}");
         }

@@ -23,11 +23,10 @@
 //! way, a query evaluating hundreds of candidates allocates nothing after
 //! the first call.
 
-use crate::colocate;
 use crate::{Diagonal, SimRankParams};
 use srs_graph::{Graph, VertexId};
 use srs_mc::multiset::PositionCounter;
-use srs_mc::{MultiFrontier, Pcg32, WalkEngine, WalkPositions, DEAD};
+use srs_mc::{Pcg32, WalkEngine, WalkPositions};
 
 /// Lifetime-free Algorithm 1 scratch: two walk-position buffers and two
 /// position counters, reused across every estimate. The graph is passed
@@ -201,11 +200,6 @@ pub struct SourceWalks {
     r: u32,
     /// One aggregated counter per step `t ∈ 0..T`.
     counters: Vec<PositionCounter>,
-    /// The same per-step counts as `(vertex, count)` runs sorted by
-    /// vertex, built once at generation time so the wave estimator can
-    /// merge candidate positions against them instead of hash-probing
-    /// per walk ([`colocate::count_weighted_sorted`]).
-    sorted: Vec<Vec<(VertexId, u32)>>,
 }
 
 impl SourceWalks {
@@ -213,7 +207,7 @@ impl SourceWalks {
     /// [`SourceWalks::generate_into`]. Its source is the `DEAD` sentinel,
     /// which never equals a real vertex id.
     pub fn new_empty() -> Self {
-        SourceWalks { source: srs_mc::DEAD, r: 0, counters: Vec::new(), sorted: Vec::new() }
+        SourceWalks { source: srs_mc::DEAD, r: 0, counters: Vec::new() }
     }
 
     /// Simulates `r` reverse walks from `u` and aggregates their positions
@@ -253,12 +247,6 @@ impl SourceWalks {
         for counter in &mut self.counters[t..] {
             counter.clear();
         }
-        self.sorted.resize_with(t_steps, Vec::new);
-        for (counter, runs) in self.counters.iter().zip(&mut self.sorted) {
-            runs.clear();
-            runs.extend(counter.iter());
-            runs.sort_unstable_by_key(|&(w, _)| w);
-        }
         self.source = u;
         self.r = r;
     }
@@ -271,277 +259,6 @@ impl SourceWalks {
     /// Number of walks aggregated.
     pub fn num_walks(&self) -> u32 {
         self.r
-    }
-}
-
-/// Batched Algorithm 1: estimates `s(u, vᵢ)` for a whole **wave** of
-/// candidates at once, stepping every candidate's walks through one
-/// [`MultiFrontier`] instead of one narrow kernel call per candidate.
-///
-/// # Bit-identity contract
-///
-/// For a **uniform** diagonal, every estimate this produces is
-/// bit-identical to the corresponding scalar
-/// [`EstimatorBuffers::estimate`] / [`EstimatorBuffers::estimate_from_source`]
-/// call with the same `(u, vᵢ, params, r, seedᵢ)`:
-///
-/// * candidate `i` draws only from its own RNG, seeded exactly as the
-///   scalar path seeds it, and the fused frontier replays each
-///   candidate's draw sequence in scalar order (see [`MultiFrontier`]);
-/// * the per-step inner product `Σ_w α(w)β(w)` is a `u64` sum, so
-///   accumulating it walk-by-walk in whatever order the kernel emits
-///   positions yields the same integer the scalar hash-table dot does;
-/// * each step's floating-point term is then formed by the exact same
-///   expression (`ct * (x * dot as f64) / norm`) in the same order.
-///
-/// A *per-vertex* diagonal has no such guarantee (its dot is an `f64`
-/// sum over hash-table order), which is why the wave scan falls back to
-/// the scalar path for `Diagonal::PerVertex` — these entry points take
-/// the uniform weight `x` directly.
-#[derive(Default)]
-pub struct WaveEstimator {
-    front_u: MultiFrontier,
-    front_v: MultiFrontier,
-    rngs: Vec<Pcg32>,
-    dots: Vec<u64>,
-    sigma: Vec<f64>,
-    /// This step's raw walk positions, one strided row per candidate
-    /// (see [`MultiFrontier::step_strided`]). For small `r` the u-side
-    /// rows are padded to a lane multiple with [`DEAD`] and compared by
-    /// the SIMD kernel ([`colocate::count_matches_padded`]); for large
-    /// `r` both sides are sorted and run-merged
-    /// ([`colocate::count_matches_sorted`]). Either way the whole
-    /// wave's positions are a few KB of contiguous memory and the exact
-    /// integer counts match any other layout.
-    u_pos: Vec<VertexId>,
-    v_pos: Vec<VertexId>,
-    u_len: Vec<u32>,
-    v_len: Vec<u32>,
-}
-
-/// Pair waves with `r` at or below this compare [`DEAD`]-padded u-side
-/// rows against each v position with the splat-and-compare SIMD kernel;
-/// wider waves sort both rows and merge equal-value runs. The compare
-/// is quadratic in `r` but runs 8 lanes per instruction over rows that
-/// stay cache-resident, so it beats the two `O(r log r)` sorts (and the
-/// hash table it replaced) up to about this width — `wave_micro`'s
-/// kernel-only section puts the AVX2 crossover near `r = 128`, with the
-/// SIMD compare 2–4× ahead in the `r ≤ 48` band (which contains the
-/// coarse pass, `r = 10`) and still ~1.2× ahead at the refine width
-/// (`r = 100`). Both paths produce the same exact integer
-/// co-location counts — the switch changes layout, never values.
-const SIMD_COUNT_MAX_R: usize = 128;
-
-/// Position/RNG scratch above these many elements is released again
-/// after any wave that needed less than the current capacity — one
-/// oversized wave (huge `r·width`) must not pin memory for the life of
-/// a pooled scratch. Below the threshold, buffers keep their capacity
-/// forever (steady-state waves never reallocate).
-const POS_SCRATCH_RETAIN: usize = 1 << 15;
-const LANE_SCRATCH_RETAIN: usize = 1 << 10;
-
-impl WaveEstimator {
-    /// Empty buffers; they grow on first use and are reused after.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Estimates `s(u, vᵢ)` for every candidate in `targets` with `r`
-    /// walks per endpoint, writing into `out` (cleared first; aligned
-    /// with `targets`). `seeds[i]` is candidate `i`'s scalar-path seed;
-    /// `x` the uniform diagonal weight. Bit-identical per candidate to
-    /// [`EstimatorBuffers::estimate`].
-    #[allow(clippy::too_many_arguments)] // graph state is per-call by design
-    pub fn estimate_pairs_into(
-        &mut self,
-        engine: &WalkEngine<'_>,
-        x: f64,
-        u: VertexId,
-        targets: &[VertexId],
-        params: &SimRankParams,
-        r: u32,
-        seeds: &[u64],
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(targets.len(), seeds.len());
-        let m = targets.len();
-        let rr = r as usize;
-        let r2 = (rr * rr) as f64;
-        self.reset(m);
-        let flat = rr <= SIMD_COUNT_MAX_R;
-        // Flat rows are DEAD-padded to a lane multiple so the SIMD
-        // comparator scans full rows with no length checks; sorted rows
-        // need no padding (lengths bound the merge).
-        let stride = if flat { colocate::pad_stride(rr) } else { rr };
-        let kernel = colocate::dispatch();
-        self.u_pos.resize(m * stride, DEAD);
-        self.v_pos.resize(m * rr, DEAD);
-        self.u_len.resize(m, 0);
-        self.v_len.resize(m, 0);
-        for (i, (&v, &seed)) in targets.iter().zip(seeds).enumerate() {
-            // Same stream the scalar estimate draws from for this pair.
-            self.rngs.push(Pcg32::from_parts(&[seed, u as u64, v as u64]));
-            let walks = if v == u { 0 } else { rr };
-            self.front_u.push_source(u, walks);
-            self.front_v.push_source(v, walks);
-            if v == u {
-                self.sigma[i] = 1.0; // s(u,u) = 1 exactly, no walks spent
-            }
-        }
-        let mut ct = 1.0;
-        for _t in 1..params.t {
-            if self.front_u.is_empty() && self.front_v.is_empty() {
-                break;
-            }
-            ct *= params.c;
-            // u side first, then v side — the per-candidate draw order of
-            // the scalar loop. Any counting layout produces the exact
-            // integer co-location counts per pair that per-candidate
-            // counters would, so the estimates cannot differ.
-            if flat {
-                self.u_pos[..m * stride].fill(DEAD);
-            }
-            self.u_len[..m].fill(0);
-            self.front_u.step_strided(engine, &mut self.rngs, &mut self.u_pos, stride, &mut self.u_len);
-            self.v_len[..m].fill(0);
-            self.front_v.step_strided(engine, &mut self.rngs, &mut self.v_pos, rr, &mut self.v_len);
-            if flat {
-                for i in 0..m {
-                    let vs = &self.v_pos[i * rr..i * rr + self.v_len[i] as usize];
-                    if !vs.is_empty() {
-                        let row = &self.u_pos[i * stride..(i + 1) * stride];
-                        self.dots[i] += colocate::count_matches_padded(kernel, row, vs);
-                    }
-                }
-            } else {
-                for i in 0..m {
-                    let (ul, vl) = (self.u_len[i] as usize, self.v_len[i] as usize);
-                    if ul > 0 && vl > 0 {
-                        let (us, vs) = (&mut self.u_pos[i * rr..], &mut self.v_pos[i * rr..]);
-                        self.dots[i] += colocate::count_matches_sorted(&mut us[..ul], &mut vs[..vl]);
-                    }
-                }
-            }
-            for i in 0..m {
-                self.sigma[i] += ct * (x * self.dots[i] as f64) / r2;
-                self.dots[i] = 0;
-                // Mirror the scalar early-break: once either side of a pair
-                // dies out, all its later terms are zero — drop both sides
-                // so neither steps (or draws) again.
-                if self.front_u.live(i as u32) == 0 || self.front_v.live(i as u32) == 0 {
-                    self.front_u.deactivate(i as u32);
-                    self.front_v.deactivate(i as u32);
-                }
-            }
-        }
-        out.clear();
-        out.extend_from_slice(&self.sigma[..m]);
-        self.shrink_scratch();
-    }
-
-    /// Estimates `s(src.source, vᵢ)` for every candidate against one
-    /// prebuilt set of source walks. Bit-identical per candidate to
-    /// [`EstimatorBuffers::estimate_from_source`].
-    #[allow(clippy::too_many_arguments)] // graph state is per-call by design
-    pub fn estimate_from_source_into(
-        &mut self,
-        engine: &WalkEngine<'_>,
-        x: f64,
-        src: &SourceWalks,
-        targets: &[VertexId],
-        params: &SimRankParams,
-        r: u32,
-        seeds: &[u64],
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(targets.len(), seeds.len());
-        assert_eq!(src.counters.len(), params.t as usize, "source walks horizon mismatch");
-        let m = targets.len();
-        let rr = r as usize;
-        let norm = (src.r as usize * rr) as f64;
-        self.reset(m);
-        self.v_pos.resize(m * rr, DEAD);
-        self.v_len.resize(m, 0);
-        for (i, (&v, &seed)) in targets.iter().zip(seeds).enumerate() {
-            self.rngs.push(Pcg32::from_parts(&[seed, 0x55AA, v as u64]));
-            let walks = if v == src.source { 0 } else { rr };
-            self.front_v.push_source(v, walks);
-            if v == src.source {
-                self.sigma[i] = 1.0;
-            }
-        }
-        let mut ct = 1.0;
-        for t in 1..params.t {
-            if self.front_v.is_empty() {
-                break;
-            }
-            ct *= params.c;
-            // Candidate positions are buffered per row, then each row is
-            // sorted and merged against the source side's prebuilt sorted
-            // (vertex, count) runs — the same integer Σ count(w)·β(w) the
-            // per-walk hash probes produced.
-            let table = &src.sorted[t as usize];
-            self.v_len[..m].fill(0);
-            self.front_v.step_strided(engine, &mut self.rngs, &mut self.v_pos, rr, &mut self.v_len);
-            for i in 0..m {
-                let vl = self.v_len[i] as usize;
-                if vl > 0 && !table.is_empty() {
-                    let row = &mut self.v_pos[i * rr..i * rr + vl];
-                    self.dots[i] += colocate::count_weighted_sorted(row, table);
-                }
-            }
-            for i in 0..m {
-                self.sigma[i] += ct * (x * self.dots[i] as f64) / norm;
-                self.dots[i] = 0;
-            }
-        }
-        out.clear();
-        out.extend_from_slice(&self.sigma[..m]);
-        self.shrink_scratch();
-    }
-
-    /// Clears per-wave state for `m` candidates, keeping allocations.
-    fn reset(&mut self, m: usize) {
-        self.front_u.clear();
-        self.front_v.clear();
-        self.rngs.clear();
-        self.dots.clear();
-        self.dots.resize(m, 0);
-        self.sigma.clear();
-        self.sigma.resize(m, 0.0);
-    }
-
-    /// Releases scratch an oversized wave left behind: any buffer whose
-    /// capacity exceeds both its retain threshold and what the wave just
-    /// finished actually used is shrunk back to the larger of the two.
-    /// Steady-state waves sit under the thresholds and never touch the
-    /// allocator; one huge `r · width` wave gets its memory returned at
-    /// the end of the *next* call instead of pinning it for the life of
-    /// the pooled scratch.
-    fn shrink_scratch(&mut self) {
-        fn bound<T>(buf: &mut Vec<T>, retain: usize) {
-            let target = retain.max(buf.len());
-            if buf.capacity() > target {
-                buf.shrink_to(target);
-            }
-        }
-        bound(&mut self.u_pos, POS_SCRATCH_RETAIN);
-        bound(&mut self.v_pos, POS_SCRATCH_RETAIN);
-        bound(&mut self.rngs, LANE_SCRATCH_RETAIN);
-        bound(&mut self.dots, LANE_SCRATCH_RETAIN);
-        bound(&mut self.sigma, LANE_SCRATCH_RETAIN);
-        bound(&mut self.u_len, LANE_SCRATCH_RETAIN);
-        bound(&mut self.v_len, LANE_SCRATCH_RETAIN);
-    }
-
-    /// Bytes of scratch currently retained (position rows, RNG states,
-    /// per-candidate lanes) — the quantity the shrink policy bounds.
-    pub fn scratch_bytes(&self) -> usize {
-        (self.u_pos.capacity() + self.v_pos.capacity()) * std::mem::size_of::<VertexId>()
-            + self.rngs.capacity() * std::mem::size_of::<Pcg32>()
-            + self.dots.capacity() * std::mem::size_of::<u64>()
-            + self.sigma.capacity() * std::mem::size_of::<f64>()
-            + (self.u_len.capacity() + self.v_len.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -679,121 +396,6 @@ mod tests {
             let a = est.estimate_from_source(&fresh, v, &params, 100, 42);
             let b = est.estimate_from_source(&reused, v, &params, 100, 42);
             assert_eq!(a, b, "v={v}");
-        }
-    }
-
-    #[test]
-    fn wave_pair_estimates_bit_identical_to_scalar() {
-        // The wave estimator's whole value rests on this: for a uniform
-        // diagonal, each candidate's batched estimate equals the scalar
-        // estimate bit for bit, for any batch composition or width.
-        let g = gen::copying_web(250, 4, 0.8, 31);
-        let params = SimRankParams::default();
-        let engine = WalkEngine::new(&g);
-        let x = 1.0 - params.c;
-        let diag = Diagonal::Uniform(x);
-        let mut scalar = EstimatorBuffers::new();
-        let mut wave = WaveEstimator::new();
-        let u = 9u32;
-        // Mixed bag: far vertices, near vertices, a repeat, and u itself.
-        let targets: Vec<VertexId> = vec![3, 200, 41, 3, u, 118, 77, 14];
-        let seeds: Vec<u64> = targets.iter().map(|&v| 9000 + v as u64).collect();
-        for r in [10u32, 100] {
-            let mut got = Vec::new();
-            wave.estimate_pairs_into(&engine, x, u, &targets, &params, r, &seeds, &mut got);
-            assert_eq!(got.len(), targets.len());
-            for (i, (&v, &seed)) in targets.iter().zip(&seeds).enumerate() {
-                let want = scalar.estimate(&engine, &diag, u, v, &params, r, seed);
-                assert!(got[i] == want, "r={r} v={v}: wave {} != scalar {want}", got[i]);
-            }
-            // Splitting the same candidates across two waves changes nothing.
-            let (a, b) = targets.split_at(3);
-            let (sa, sb) = seeds.split_at(3);
-            let mut got_a = Vec::new();
-            let mut got_b = Vec::new();
-            wave.estimate_pairs_into(&engine, x, u, a, &params, r, sa, &mut got_a);
-            wave.estimate_pairs_into(&engine, x, u, b, &params, r, sb, &mut got_b);
-            got_a.extend_from_slice(&got_b);
-            assert_eq!(got_a, got, "r={r}: wave split changed estimates");
-        }
-    }
-
-    #[test]
-    fn wave_pair_bit_identity_across_r_regimes() {
-        // r values straddling every kernel regime: 1 (degenerate row),
-        // 4/16 (one padded chunk), 17/32 (multi-chunk SIMD), 128/129
-        // (the exact SIMD_COUNT_MAX_R edge), 300 (deep in the
-        // sort-and-merge path).
-        let g = gen::copying_web(250, 4, 0.8, 31);
-        let params = SimRankParams::default();
-        let engine = WalkEngine::new(&g);
-        let x = 1.0 - params.c;
-        let diag = Diagonal::Uniform(x);
-        let mut scalar = EstimatorBuffers::new();
-        let mut wave = WaveEstimator::new();
-        let u = 9u32;
-        let targets: Vec<VertexId> = vec![3, 200, 41, u, 118, 77, 14];
-        let seeds: Vec<u64> = targets.iter().map(|&v| 31_000 + v as u64).collect();
-        for r in [1u32, 4, 16, 17, 32, 128, 129, 300] {
-            let mut got = Vec::new();
-            wave.estimate_pairs_into(&engine, x, u, &targets, &params, r, &seeds, &mut got);
-            for (i, (&v, &seed)) in targets.iter().zip(&seeds).enumerate() {
-                let want = scalar.estimate(&engine, &diag, u, v, &params, r, seed);
-                assert!(got[i] == want, "r={r} v={v}: wave {} != scalar {want}", got[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_wave_scratch_is_released() {
-        let g = gen::copying_web(120, 4, 0.8, 9);
-        let params = SimRankParams::default();
-        let engine = WalkEngine::new(&g);
-        let x = 1.0 - params.c;
-        let mut wave = WaveEstimator::new();
-        let small: Vec<VertexId> = vec![3, 7, 11, 19];
-        let sseeds: Vec<u64> = small.iter().map(|&v| 100 + v as u64).collect();
-        let mut first = Vec::new();
-        wave.estimate_pairs_into(&engine, x, 5, &small, &params, 10, &sseeds, &mut first);
-        let steady = wave.scratch_bytes();
-        // One oversized wave (512 candidates × r = 300) blows the position
-        // buffers far past the retain threshold...
-        let big: Vec<VertexId> = (0..512).map(|i| (i % 120) as u32).collect();
-        let bseeds: Vec<u64> = (0..512u64).map(|i| 7 * i + 1).collect();
-        let mut out = Vec::new();
-        wave.estimate_pairs_into(&engine, x, 5, &big, &params, 300, &bseeds, &mut out);
-        let peak = wave.scratch_bytes();
-        assert!(peak > steady.max(1) * 4, "oversized wave should grow scratch: {steady} -> {peak}");
-        // ...and the next ordinary wave releases it (down to the retain
-        // threshold) without changing any result.
-        let mut again = Vec::new();
-        wave.estimate_pairs_into(&engine, x, 5, &small, &params, 10, &sseeds, &mut again);
-        assert_eq!(again, first, "shrink policy must not affect estimates");
-        let settled = wave.scratch_bytes();
-        assert!(settled < peak / 2, "scratch not released: peak {peak}, settled {settled}");
-        let floor = 2 * POS_SCRATCH_RETAIN * std::mem::size_of::<VertexId>();
-        assert!(settled <= floor + 64 * 1024, "settled {settled} above retain floor {floor}");
-    }
-
-    #[test]
-    fn wave_shared_source_estimates_bit_identical_to_scalar() {
-        let g = gen::copying_web(250, 4, 0.8, 31);
-        let params = SimRankParams::default();
-        let engine = WalkEngine::new(&g);
-        let x = 1.0 - params.c;
-        let diag = Diagonal::Uniform(x);
-        let src = SourceWalks::generate(&g, 9, &params, 100, 77);
-        let mut scalar = EstimatorBuffers::new();
-        let mut wave = WaveEstimator::new();
-        let targets: Vec<VertexId> = vec![3, 200, 41, 9, 118, 77];
-        let seeds: Vec<u64> = targets.iter().map(|&v| 4000 + v as u64).collect();
-        for r in [10u32, 100] {
-            let mut got = Vec::new();
-            wave.estimate_from_source_into(&engine, x, &src, &targets, &params, r, &seeds, &mut got);
-            for (i, (&v, &seed)) in targets.iter().zip(&seeds).enumerate() {
-                let want = scalar.estimate_from_source(&engine, &diag, &src, v, &params, r, seed);
-                assert!(got[i] == want, "r={r} v={v}: wave {} != scalar {want}", got[i]);
-            }
         }
     }
 

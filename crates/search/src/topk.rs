@@ -19,7 +19,7 @@
 use crate::bounds::{AlphaBeta, GammaTable};
 use crate::index::{CandidateIndex, SeenStamps};
 use crate::obs::{BuildObs, QueryLocalObs, ServingMetrics, StageTimings};
-use crate::single_pair::{EstimatorBuffers, SourceWalks, WaveEstimator};
+use crate::single_pair::{EstimatorBuffers, SourceWalks};
 use crate::{Diagonal, SimRankParams};
 use srs_graph::bfs::{BfsBuffers, Direction, UNREACHED};
 use srs_graph::hash::mix_seed;
@@ -132,14 +132,6 @@ pub struct QueryOptions {
     /// is meant for interactive debugging, not the serving path. Scores
     /// and stats are unaffected either way.
     pub explain: bool,
-    /// How many bound-surviving candidates the scan batches into one
-    /// multi-source walk **wave** (see DESIGN.md §5g). A wave only
-    /// *precomputes* coarse/refine estimates through the wide kernel;
-    /// candidates are still consumed one at a time in distance order
-    /// against the running threshold, so hits, fates, and explain traces
-    /// are bit-identical for every width. `1` disables batching (the
-    /// scalar scan); per-vertex diagonals always use the scalar scan.
-    pub wave_width: u32,
     /// Deterministic fast-tier routing policy (see [`FastTier`]). `Off`
     /// by default: results are then bit-identical to builds without the
     /// tier.
@@ -168,7 +160,6 @@ impl Default for QueryOptions {
             theta: None,
             share_source_walks: false,
             explain: false,
-            wave_width: 32,
             fast_tier: FastTier::Off,
             fast_tier_min_candidates: 4096,
             fast_tier_min_degree: 512,
@@ -198,7 +189,6 @@ impl QueryOptions {
         self.theta.map(f64::to_bits).hash(&mut h);
         self.share_source_walks.hash(&mut h);
         self.explain.hash(&mut h);
-        self.wave_width.hash(&mut h);
         self.fast_tier.hash(&mut h);
         self.fast_tier_min_candidates.hash(&mut h);
         self.fast_tier_min_degree.hash(&mut h);
@@ -233,16 +223,8 @@ pub struct QueryStats {
     /// Vertices visited by the query-time BFS.
     pub bfs_visited: u64,
     /// Reverse walk steps performed answering the query (L1 table, coarse
-    /// and refine estimates — everything the walk kernels stepped). Under
-    /// the wave-batched scan this can drift between wave widths (a wave
-    /// may precompute estimates the consumer then prunes); the fate
-    /// counters above never do.
+    /// and refine estimates — everything the walk kernels stepped).
     pub walk_steps: u64,
-    /// Walk waves formed by the batched scan (0 on the scalar path).
-    pub waves: u64,
-    /// Wave-precomputed estimates (coarse or refine) that consumption
-    /// never used — the speculative overhead of batching.
-    pub wave_wasted: u64,
     /// Queries answered by the deterministic fast tier (0 or 1 per
     /// query; a fast-tier answer enumerates no candidates, so every fate
     /// counter above stays 0 and the accounting identity holds).
@@ -264,8 +246,6 @@ impl QueryStats {
         self.reported += other.reported;
         self.bfs_visited += other.bfs_visited;
         self.walk_steps += other.walk_steps;
-        self.waves += other.waves;
-        self.wave_wasted += other.wave_wasted;
         self.fast_tier_queries += other.fast_tier_queries;
         self.fast_tier_fallbacks += other.fast_tier_fallbacks;
     }
@@ -418,8 +398,6 @@ pub struct QueryScratch {
     seen: SeenStamps,
     /// Running top-k (min-heap on score).
     heap: BinaryHeap<Reverse<HeapHit>>,
-    /// Wave-batched scan state (formation buffers + estimate table).
-    wave: WaveScratch,
     /// Fast-tier state (linearized pass scratch + score vector). Empty
     /// until the first fast-tier query through this scratch — a pool
     /// serving `FastTier::Off` traffic never pays its `O(Tn)` doubles.
@@ -439,47 +417,6 @@ struct FastTierScratch {
     diag: Vec<f64>,
 }
 
-/// Scratch for the wave-batched scan: formation output, the batched
-/// estimator, and the per-span estimate table `scan_span` consumes.
-#[derive(Default)]
-struct WaveScratch {
-    estimator: WaveEstimator,
-    /// Candidate positions (indices into the scan order) of the current
-    /// wave's survivors.
-    survivors: Vec<usize>,
-    /// Survivor vertices / per-candidate seeds, aligned with `survivors`.
-    targets: Vec<VertexId>,
-    seeds: Vec<u64>,
-    /// Coarse estimates, aligned with `survivors`.
-    coarse: Vec<f64>,
-    /// Survivors selected for refine precompute (indices into `survivors`),
-    /// with their gathered inputs and results.
-    refine_picks: Vec<usize>,
-    refine_targets: Vec<VertexId>,
-    refine_seeds: Vec<u64>,
-    refine_values: Vec<f64>,
-    /// Precomputed estimates for every candidate of the consumption span.
-    slots: Vec<WaveSlot>,
-}
-
-/// Precomputed work for one candidate a wave's formation pass examined:
-/// the bound values formation evaluated anyway (reused verbatim by
-/// consumption — same pure expressions, so caching cannot change a
-/// decision) and the batched estimates. Consumption `take`s the estimates
-/// it uses; leftovers are counted as wasted work.
-#[derive(Debug, Clone, Copy, Default)]
-struct WaveSlot {
-    /// Distance bound `c^⌈d/2⌉` (0.0 placeholder when the distance bound
-    /// is disabled — consumption never reads it then).
-    cd: f64,
-    /// L1 / L2 bound values exactly as consumption's own expressions
-    /// would produce them (∞ for a disabled bound).
-    l1b: f64,
-    l2b: f64,
-    coarse: Option<f64>,
-    refine: Option<f64>,
-}
-
 impl QueryScratch {
     /// Creates scratch state sized for `g`. Everything else grows on first
     /// use and is retained across queries.
@@ -495,7 +432,6 @@ impl QueryScratch {
             cands: Vec::new(),
             seen: SeenStamps::new(),
             heap: BinaryHeap::new(),
-            wave: WaveScratch::default(),
             fast: FastTierScratch::default(),
             obs: QueryLocalObs::new(),
         }
@@ -695,18 +631,11 @@ impl QueryScratch {
 
     /// Stage 3 — the bounded, adaptive candidate scan: distance bound →
     /// L1/L2 bounds → coarse pass → refine, maintaining the running top-k
-    /// heap. When `explain` is given, every candidate (including the bulk
-    /// tail skipped by the early-break) gets exactly one
-    /// [`CandidateRecord`] — fate counts in the trace reconcile with
-    /// `stats` by construction.
-    ///
-    /// With `QueryOptions::wave_width ≥ 2` (and a uniform diagonal) the
-    /// scan runs **wave-batched**: [`QueryScratch::scan_waved`] precomputes
-    /// estimates for the next `wave_width` likely survivors through the
-    /// wide multi-source kernel, then [`QueryScratch::scan_span`] consumes
-    /// them with the unchanged per-candidate decision loop. Hits, fates,
-    /// and explain traces are bit-identical for every width — a wave only
-    /// precomputes work, it never decides.
+    /// heap. Candidates are decided one at a time in ascending distance
+    /// against the running threshold. When `explain` is given, every
+    /// candidate (including the bulk tail skipped by the early-break) gets
+    /// exactly one [`CandidateRecord`] — fate counts in the trace
+    /// reconcile with `stats` by construction.
     #[allow(clippy::too_many_arguments)]
     fn scan_candidates(
         &mut self,
@@ -722,247 +651,16 @@ impl QueryScratch {
         // Move the candidate list out so the scan can borrow the other
         // scratch fields mutably; moved back below.
         let cands = std::mem::take(&mut self.cands);
-        let width = opts.wave_width.max(1) as usize;
-        // The wave path replays scalar estimates bit-for-bit only for a
-        // uniform diagonal (its co-location sums are integers, which
-        // commute); the per-vertex diagonal's f64 hash-order dot does
-        // not, so it always takes the scalar scan.
-        if width <= 1 || !matches!(index.diag, Diagonal::Uniform(_)) {
-            self.scan_span(g, index, u, k, opts, theta, stats, &mut explain, &cands, 0..cands.len(), None);
-        } else {
-            self.scan_waved(g, index, u, k, opts, theta, stats, &mut explain, &cands, width);
-        }
-        self.cands = cands;
-    }
-
-    /// The wave loop: repeatedly *form* a wave (classify upcoming
-    /// candidates at the current threshold and collect the next
-    /// `width` survivors), *precompute* their coarse — and likely-needed
-    /// refine — estimates through the batched [`WaveEstimator`], then
-    /// hand the span to [`QueryScratch::scan_span`] for consumption.
-    ///
-    /// Soundness of the precompute set: the pruning threshold
-    /// `max(θ, kth − slack)` is non-decreasing over the scan (the heap
-    /// only improves), so any candidate that will pass a bound at
-    /// consumption time also passes it at formation time — formation can
-    /// only *over*-approximate the work needed, never miss some. The
-    /// surplus is counted in `QueryStats::wave_wasted`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_waved(
-        &mut self,
-        g: &Graph,
-        index: &TopKIndex,
-        u: VertexId,
-        k: usize,
-        opts: &QueryOptions,
-        theta: f64,
-        stats: &mut QueryStats,
-        explain: &mut Option<&mut ExplainTrace>,
-        cands: &[(u32, VertexId)],
-        width: usize,
-    ) {
         let params = &index.params;
         let engine = WalkEngine::new(g);
-        let Diagonal::Uniform(x) = index.diag else { unreachable!("wave scan requires a uniform diagonal") };
-        let mut cursor = 0usize;
-        while cursor < cands.len() {
-            // --- Formation: find the span of the next wave and its
-            // survivors. Pure work collection — nothing is recorded, no
-            // stat bumped; consumption below re-decides every candidate
-            // against the threshold in force *then*.
-            let prune_floor =
-                if opts.kth_prune { theta.max(kth_score(&self.heap, k) - opts.bound_slack) } else { theta };
-            let wave = &mut self.wave;
-            wave.survivors.clear();
-            wave.targets.clear();
-            wave.seeds.clear();
-            // Slots double as the bound cache: one entry per candidate this
-            // pass examines, in span order. The early-break tail (below)
-            // gets no slot — consumption computes those bounds itself.
-            wave.slots.clear();
-            let mut end = cursor;
-            while end < cands.len() {
-                let (d, v) = cands[end];
-                let cd = if d == UNREACHED { 0.0 } else { params.distance_bound(d) };
-                if opts.use_distance_bound && cd < prune_floor {
-                    // Thresholds only rise and distances only grow: no
-                    // later candidate can out-survive this one, so this
-                    // is the final wave. Consumption owns the
-                    // early-break bookkeeping over the whole tail.
-                    end = cands.len();
-                    break;
-                }
-                let l1b = if opts.use_l1 && d != UNREACHED { self.l1.beta(d) } else { f64::INFINITY };
-                let l2b = if opts.use_l2 { index.gamma.l2_bound(u, v, params.c) } else { f64::INFINITY };
-                let survives = l1b.min(l2b) >= prune_floor;
-                wave.slots.push(WaveSlot { cd, l1b, l2b, coarse: None, refine: None });
-                end += 1;
-                if survives {
-                    wave.survivors.push(end - 1);
-                    wave.targets.push(v);
-                    wave.seeds.push(mix_seed(&[index.seed, 4, u as u64, v as u64]));
-                    if wave.survivors.len() == width {
-                        break;
-                    }
-                }
-            }
-            stats.waves += 1;
-            self.obs.wave_survivors.record(wave.survivors.len() as u64);
-
-            // --- Precompute: batched coarse estimates for every survivor,
-            // then batched refinement for those whose coarse estimate
-            // clears the coarse gate at the formation threshold (a
-            // superset of those clearing it at consumption time).
-            if opts.adaptive && !wave.survivors.is_empty() {
-                if opts.share_source_walks {
-                    wave.estimator.estimate_from_source_into(
-                        &engine,
-                        x,
-                        &self.source_walks,
-                        &wave.targets,
-                        params,
-                        params.r_coarse,
-                        &wave.seeds,
-                        &mut wave.coarse,
-                    );
-                } else {
-                    wave.estimator.estimate_pairs_into(
-                        &engine,
-                        x,
-                        u,
-                        &wave.targets,
-                        params,
-                        params.r_coarse,
-                        &wave.seeds,
-                        &mut wave.coarse,
-                    );
-                }
-            } else {
-                wave.coarse.clear();
-            }
-            wave.refine_picks.clear();
-            wave.refine_targets.clear();
-            wave.refine_seeds.clear();
-            let coarse_floor = opts.coarse_fraction * prune_floor;
-            for si in 0..wave.survivors.len() {
-                if !opts.adaptive || wave.coarse[si] >= coarse_floor {
-                    wave.refine_picks.push(si);
-                    wave.refine_targets.push(wave.targets[si]);
-                    wave.refine_seeds.push(wave.seeds[si]);
-                }
-            }
-            if !wave.refine_targets.is_empty() {
-                if opts.share_source_walks {
-                    wave.estimator.estimate_from_source_into(
-                        &engine,
-                        x,
-                        &self.source_walks,
-                        &wave.refine_targets,
-                        params,
-                        params.r_refine,
-                        &wave.refine_seeds,
-                        &mut wave.refine_values,
-                    );
-                } else {
-                    wave.estimator.estimate_pairs_into(
-                        &engine,
-                        x,
-                        u,
-                        &wave.refine_targets,
-                        params,
-                        params.r_refine,
-                        &wave.refine_seeds,
-                        &mut wave.refine_values,
-                    );
-                }
-            } else {
-                wave.refine_values.clear();
-            }
-            if opts.adaptive {
-                for (si, &ci) in wave.survivors.iter().enumerate() {
-                    wave.slots[ci - cursor].coarse = Some(wave.coarse[si]);
-                }
-            }
-            for (ri, &si) in wave.refine_picks.iter().enumerate() {
-                wave.slots[wave.survivors[si] - cursor].refine = Some(wave.refine_values[ri]);
-            }
-
-            // --- Consumption: the unchanged scalar decision loop, reading
-            // estimates out of the precomputed table.
-            let mut slots = std::mem::take(&mut self.wave.slots);
-            let stopped = self.scan_span(
-                g,
-                index,
-                u,
-                k,
-                opts,
-                theta,
-                stats,
-                explain,
-                cands,
-                cursor..end,
-                Some((cursor, &mut slots)),
-            );
-            stats.wave_wasted +=
-                slots.iter().map(|s| s.coarse.is_some() as u64 + s.refine.is_some() as u64).sum::<u64>();
-            self.wave.slots = slots;
-            if stopped {
-                return;
-            }
-            cursor = end;
-        }
-    }
-
-    /// The per-candidate decision loop over `cands[span]` — Algorithm 5's
-    /// scalar scan, unchanged. `pre` optionally carries wave-precomputed
-    /// estimates (`(span start, slots)` aligned to `span`): a needed
-    /// estimate is taken from its slot when present and computed on the
-    /// spot otherwise, and since both routes produce bit-identical values
-    /// (same per-candidate seeds), decisions, stats, and explain records
-    /// cannot depend on what was precomputed. Returns `true` when the
-    /// distance-bound early-break fired — the tail through the *end of
-    /// the candidate list* (not just the span) is then already accounted
-    /// and the whole scan is done.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_span(
-        &mut self,
-        g: &Graph,
-        index: &TopKIndex,
-        u: VertexId,
-        k: usize,
-        opts: &QueryOptions,
-        theta: f64,
-        stats: &mut QueryStats,
-        explain: &mut Option<&mut ExplainTrace>,
-        cands: &[(u32, VertexId)],
-        span: std::ops::Range<usize>,
-        mut pre: Option<(usize, &mut [WaveSlot])>,
-    ) -> bool {
-        let params = &index.params;
-        let engine = WalkEngine::new(g);
-        for ci in span {
-            let (d, v) = cands[ci];
+        for (ci, &(d, v)) in cands.iter().enumerate() {
             let prune_at =
                 if opts.kth_prune { theta.max(kth_score(&self.heap, k) - opts.bound_slack) } else { theta };
-            // Bound values come from the wave's formation pass when it
-            // examined this candidate (the identical pure expressions, so
-            // reuse cannot change a decision) and are computed here
-            // otherwise — always against *this* loop's threshold.
-            let cached = pre.as_ref().and_then(|(base, slots)| slots.get(ci - *base)).copied();
             // Trivial distance bound c^⌈d/2⌉ (sound for the undirected
             // metric — see SimRankParams::distance_bound). Undirected
             // unreachability implies the walks can never meet, score 0.
             if opts.use_distance_bound {
-                let cd = match cached {
-                    Some(slot) => slot.cd,
-                    None => {
-                        if d == UNREACHED {
-                            0.0
-                        } else {
-                            params.distance_bound(d)
-                        }
-                    }
-                };
+                let cd = if d == UNREACHED { 0.0 } else { params.distance_bound(d) };
                 if cd < prune_at {
                     stats.pruned_distance += 1;
                     if let Some(tr) = explain.as_deref_mut() {
@@ -986,18 +684,13 @@ impl QueryScratch {
                                 tr.push(record(v2, d2, CandidateFate::PrunedDistance, cd2, prune_at));
                             }
                         }
-                        return true;
+                        break;
                     }
                     continue;
                 }
             }
-            let (l1b, l2b) = match cached {
-                Some(slot) => (slot.l1b, slot.l2b),
-                None => (
-                    if opts.use_l1 && d != UNREACHED { self.l1.beta(d) } else { f64::INFINITY },
-                    if opts.use_l2 { index.gamma.l2_bound(u, v, params.c) } else { f64::INFINITY },
-                ),
-            };
+            let l1b = if opts.use_l1 && d != UNREACHED { self.l1.beta(d) } else { f64::INFINITY };
+            let l2b = if opts.use_l2 { index.gamma.l2_bound(u, v, params.c) } else { f64::INFINITY };
             let bound = l1b.min(l2b);
             if bound < prune_at {
                 stats.pruned_bounds += 1;
@@ -1007,36 +700,26 @@ impl QueryScratch {
                 }
                 continue;
             }
-            // Adaptive sampling (§7.2). Estimates come from the wave's
-            // precompute table when present (bit-identical by the
-            // WaveEstimator contract) and are computed here otherwise —
-            // with the same per-candidate seed either way.
-            let seed = || mix_seed(&[index.seed, 4, u as u64, v as u64]);
-            let precomputed = |pre: &mut Option<(usize, &mut [WaveSlot])>, refine: bool| {
-                let (base, slots) = pre.as_mut()?;
-                let slot = slots.get_mut(ci - *base)?;
-                if refine {
-                    slot.refine.take()
-                } else {
-                    slot.coarse.take()
-                }
-            };
-            if opts.adaptive {
-                let coarse = match precomputed(&mut pre, false) {
-                    Some(value) => value,
-                    None if opts.share_source_walks => self.estimator.estimate_from_source(
+            // Adaptive sampling (§7.2): a coarse estimate gates the refined
+            // one. Both draw from the same per-candidate seed.
+            let seed = mix_seed(&[index.seed, 4, u as u64, v as u64]);
+            let mut estimate = |r: u32| {
+                if opts.share_source_walks {
+                    self.estimator.estimate_from_source(
                         &engine,
                         &index.diag,
                         &self.source_walks,
                         v,
                         params,
-                        params.r_coarse,
-                        seed(),
-                    ),
-                    None => {
-                        self.estimator.estimate(&engine, &index.diag, u, v, params, params.r_coarse, seed())
-                    }
-                };
+                        r,
+                        seed,
+                    )
+                } else {
+                    self.estimator.estimate(&engine, &index.diag, u, v, params, r, seed)
+                }
+            };
+            if opts.adaptive {
+                let coarse = estimate(params.r_coarse);
                 let coarse_at = opts.coarse_fraction * prune_at;
                 if coarse < coarse_at {
                     stats.pruned_coarse += 1;
@@ -1046,19 +729,7 @@ impl QueryScratch {
                     continue;
                 }
             }
-            let score = match precomputed(&mut pre, true) {
-                Some(value) => value,
-                None if opts.share_source_walks => self.estimator.estimate_from_source(
-                    &engine,
-                    &index.diag,
-                    &self.source_walks,
-                    v,
-                    params,
-                    params.r_refine,
-                    seed(),
-                ),
-                None => self.estimator.estimate(&engine, &index.diag, u, v, params, params.r_refine, seed()),
-            };
+            let score = estimate(params.r_refine);
             if score >= theta {
                 stats.reported += 1;
                 if let Some(tr) = explain.as_deref_mut() {
@@ -1075,7 +746,7 @@ impl QueryScratch {
                 }
             }
         }
-        false
+        self.cands = cands;
     }
 }
 

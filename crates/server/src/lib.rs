@@ -842,7 +842,6 @@ fn build_trace(
     let stats = &answer.result.stats;
     t.attr(wave, "wave_width", AttrValue::U64(answer.wave_width as u64));
     t.attr(wave, "candidates", AttrValue::U64(stats.candidates));
-    t.attr(wave, "waves", AttrValue::U64(stats.waves));
     let fast = stats.fast_tier_queries > 0;
     t.attr(wave, "fast_tier_route", AttrValue::Str(if fast { "linearized" } else { "mc_scan" }));
     let timings = &answer.result.timings;
@@ -1117,7 +1116,7 @@ mod tests {
         let answer = QueryAnswer {
             result: TopKResult {
                 hits: vec![Hit { vertex: 2, score: 0.25 }],
-                stats: srs_search::QueryStats { candidates: 10, waves: 3, ..Default::default() },
+                stats: srs_search::QueryStats { candidates: 10, ..Default::default() },
                 timings: srs_search::StageTimings { stages: [100, 200, 300, 50], fast_tier_ns: 0 },
                 ..Default::default()
             },
