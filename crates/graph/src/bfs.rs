@@ -4,11 +4,14 @@
 //!
 //! 1. **Bounded undirected BFS from the query vertex** — the L1 bound
 //!    `β(u, d)` is indexed by the distance `d(u, v)` of each candidate, and
-//!    the search only ever inspects the ball of radius `d_max = T` (Section
-//!    6). Undirected distance is used because the triangle inequality in the
-//!    proof of Proposition 4 requires a symmetric metric, and every reverse
-//!    random walk of `t` steps stays inside the undirected ball of radius
-//!    `t`.
+//!    no distance beyond `d_max = T` is ever read (Section 6). The query
+//!    reads distances of only two vertex sets — its candidates and its own
+//!    L1 walk positions — so it runs [`BfsBuffers::run_to_targets`], which
+//!    stops as soon as the last of them is reached instead of sweeping the
+//!    whole radius-`d_max` ball. Undirected distance is used because the
+//!    triangle inequality in the proof of Proposition 4 requires a
+//!    symmetric metric, and every reverse random walk of `t` steps stays
+//!    inside the undirected ball of radius `t`.
 //! 2. **Distance histograms of top-k result lists** — the Figure 2
 //!    reproduction plots the average distance of the k-th most similar
 //!    vertex.
@@ -45,6 +48,11 @@ pub struct BfsBuffers {
     visited_bits: Vec<u64>,
     dist: Vec<u32>,
     queue: Vec<VertexId>,
+    /// Target marks for [`BfsBuffers::run_to_targets`]; all clear between
+    /// runs.
+    target_bits: Vec<u64>,
+    /// Distinct targets not yet visited by the current targeted run.
+    targets_left: usize,
 }
 
 impl BfsBuffers {
@@ -54,6 +62,8 @@ impl BfsBuffers {
             visited_bits: vec![0; (n as usize).div_ceil(64)],
             dist: vec![UNREACHED; n as usize],
             queue: Vec::new(),
+            target_bits: vec![0; (n as usize).div_ceil(64)],
+            targets_left: 0,
         }
     }
 
@@ -83,11 +93,18 @@ impl BfsBuffers {
         self.queue.clear();
     }
 
+    /// Marks `v` visited at distance `d`. In a targeted traversal, returns
+    /// whether `v` was the last unreached target.
     #[inline]
-    fn visit(&mut self, v: VertexId, d: u32) {
+    fn visit<const TARGETED: bool>(&mut self, v: VertexId, d: u32) -> bool {
         self.visited_bits[v as usize >> 6] |= 1u64 << (v as usize & 63);
         self.dist[v as usize] = d;
         self.queue.push(v);
+        if TARGETED && (self.target_bits[v as usize >> 6] >> (v as usize & 63)) & 1 == 1 {
+            self.targets_left -= 1;
+            return self.targets_left == 0;
+        }
+        false
     }
 
     #[inline]
@@ -109,8 +126,57 @@ impl BfsBuffers {
     /// the within-level order of [`BfsBuffers::visited`] differs (bottom-up
     /// appends in ascending vertex id), and it stays deterministic.
     pub fn run(&mut self, g: &Graph, source: VertexId, direction: Direction, max_depth: u32) {
+        self.traverse::<false>(g, source, direction, max_depth, 0);
+    }
+
+    /// [`BfsBuffers::run`] that stops once every vertex of `targets` has
+    /// been visited — mid-level if need be, since a vertex's distance is
+    /// final the moment it is visited — but never before the levels up to
+    /// `min_depth` are complete (`min_depth` is clamped to `max_depth`).
+    ///
+    /// Afterwards every target, and every vertex within `min_depth`, reads
+    /// back the same [`BfsBuffers::distance`] as after a full
+    /// `run(.., max_depth)`: its exact distance, or [`UNREACHED`] beyond
+    /// `max_depth`. Other vertices may read [`UNREACHED`] where the full
+    /// run would have reached them, and [`BfsBuffers::visited`] is a prefix
+    /// of the full run's visit order. Duplicate targets, and a target
+    /// equal to `source`, are fine.
+    pub fn run_to_targets(
+        &mut self,
+        g: &Graph,
+        source: VertexId,
+        direction: Direction,
+        max_depth: u32,
+        min_depth: u32,
+        targets: &[VertexId],
+    ) {
+        for &t in targets {
+            let (w, b) = (t as usize >> 6, 1u64 << (t as usize & 63));
+            if self.target_bits[w] & b == 0 {
+                self.target_bits[w] |= b;
+                self.targets_left += 1;
+            }
+        }
+        self.traverse::<true>(g, source, direction, max_depth, min_depth.min(max_depth));
+        for &t in targets {
+            self.target_bits[t as usize >> 6] &= !(1u64 << (t as usize & 63));
+        }
+        self.targets_left = 0;
+    }
+
+    /// The level-synchronous traversal behind [`BfsBuffers::run`] and
+    /// [`BfsBuffers::run_to_targets`]. `TARGETED` compiles the target
+    /// bookkeeping in or out, so the full run pays nothing for it.
+    fn traverse<const TARGETED: bool>(
+        &mut self,
+        g: &Graph,
+        source: VertexId,
+        direction: Direction,
+        max_depth: u32,
+        min_depth: u32,
+    ) {
         self.begin();
-        self.visit(source, 0);
+        self.visit::<TARGETED>(source, 0);
         let n = g.num_vertices() as usize;
         // Expected probes per bottom-up vertex before a frontier hit are
         // bounded by its degree; 2m/n is the mean over both lists (the
@@ -119,6 +185,12 @@ impl BfsBuffers {
         let mut level_start = 0usize;
         let mut d = 0u32;
         while level_start < self.queue.len() && d < max_depth {
+            // Levels 0..=d are complete here; a targeted run may stop once
+            // they cover `min_depth`, and from then on even mid-level.
+            let may_stop = TARGETED && d >= min_depth;
+            if may_stop && self.targets_left == 0 {
+                break;
+            }
             let level_end = self.queue.len();
             let frontier = (level_end - level_start) as u64;
             let unvisited = (n - level_end) as u64;
@@ -129,10 +201,13 @@ impl BfsBuffers {
             // touches at most ~unvisited early-exited probes plus a bitset
             // sweep. The size guard keeps small graphs (and small levels)
             // on the classic queue expansion.
-            if frontier > 64 && frontier * avg_deg > unvisited {
-                self.expand_bottom_up(g, direction, d);
+            let stopped = if frontier > 64 && frontier * avg_deg > unvisited {
+                self.expand_bottom_up::<TARGETED>(g, direction, d, may_stop)
             } else {
-                self.expand_top_down(g, direction, d, level_start, level_end);
+                self.expand_top_down::<TARGETED>(g, direction, d, level_start, level_end, may_stop)
+            };
+            if stopped {
+                break;
             }
             level_start = level_end;
             d += 1;
@@ -140,43 +215,56 @@ impl BfsBuffers {
     }
 
     /// Expands one level by scanning the frontier `queue[start..end]`.
-    fn expand_top_down(&mut self, g: &Graph, direction: Direction, d: u32, start: usize, end: usize) {
+    /// Returns `true` if it stopped early: `may_stop` was set and the last
+    /// target was visited.
+    fn expand_top_down<const TARGETED: bool>(
+        &mut self,
+        g: &Graph,
+        direction: Direction,
+        d: u32,
+        start: usize,
+        end: usize,
+        may_stop: bool,
+    ) -> bool {
         for i in start..end {
             let u = self.queue[i];
-            match direction {
-                Direction::Out => {
-                    for &v in g.out_neighbors(u) {
-                        if !self.seen(v) {
-                            self.visit(v, d + 1);
-                        }
-                    }
-                }
-                Direction::In => {
-                    for &v in g.in_neighbors(u) {
-                        if !self.seen(v) {
-                            self.visit(v, d + 1);
-                        }
-                    }
-                }
+            let stopped = match direction {
+                Direction::Out => self.visit_unseen::<TARGETED>(g.out_neighbors(u), d + 1, may_stop),
+                Direction::In => self.visit_unseen::<TARGETED>(g.in_neighbors(u), d + 1, may_stop),
                 Direction::Undirected => {
-                    for &v in g.out_neighbors(u) {
-                        if !self.seen(v) {
-                            self.visit(v, d + 1);
-                        }
-                    }
-                    for &v in g.in_neighbors(u) {
-                        if !self.seen(v) {
-                            self.visit(v, d + 1);
-                        }
-                    }
+                    self.visit_unseen::<TARGETED>(g.out_neighbors(u), d + 1, may_stop)
+                        || self.visit_unseen::<TARGETED>(g.in_neighbors(u), d + 1, may_stop)
                 }
+            };
+            if stopped {
+                return true;
             }
         }
+        false
+    }
+
+    /// Visits every not-yet-seen vertex of `vs` at distance `d`; stops
+    /// early (returning `true`) as [`Self::expand_top_down`] does.
+    #[inline]
+    fn visit_unseen<const TARGETED: bool>(&mut self, vs: &[VertexId], d: u32, may_stop: bool) -> bool {
+        for &v in vs {
+            if !self.seen(v) && self.visit::<TARGETED>(v, d) && may_stop {
+                return true;
+            }
+        }
+        false
     }
 
     /// Expands one level by scanning the unvisited vertices (zero bits of
     /// the visited bitset) and probing each for a neighbor at distance `d`.
-    fn expand_bottom_up(&mut self, g: &Graph, direction: Direction, d: u32) {
+    /// Returns `true` if it stopped early, as [`Self::expand_top_down`].
+    fn expand_bottom_up<const TARGETED: bool>(
+        &mut self,
+        g: &Graph,
+        direction: Direction,
+        d: u32,
+        may_stop: bool,
+    ) -> bool {
         let n = g.num_vertices() as usize;
         let words = self.visited_bits.len();
         for wi in 0..words {
@@ -197,11 +285,12 @@ impl BfsBuffers {
                             || self.frontier_neighbor(g.in_neighbors(v), d)
                     }
                 };
-                if hit {
-                    self.visit(v, d + 1);
+                if hit && self.visit::<TARGETED>(v, d + 1) && may_stop {
+                    return true;
                 }
             }
         }
+        false
     }
 
     /// Whether any of `ws` sits on the current frontier (distance `d`).

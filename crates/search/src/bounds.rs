@@ -174,6 +174,13 @@ impl GammaTable {
 }
 
 /// Query-time α/β tables for one query vertex (Algorithm 2 output).
+///
+/// Computed in two halves so a query can sample before it knows any
+/// distance: [`AlphaBeta::sample_into`] runs the reverse walks and records
+/// every `(step, position, count)` it sees; [`AlphaBeta::bin_into`] then
+/// bins those records by distance. The recorded positions are exactly the
+/// vertices whose distance the table reads, which is what lets the query
+/// stop its BFS once they are reached.
 #[derive(Debug, Clone)]
 pub struct AlphaBeta {
     d_max: u32,
@@ -181,6 +188,9 @@ pub struct AlphaBeta {
     alpha: Vec<f64>,
     /// `beta[d]` = `β(u, d)` (equation (18)).
     beta: Vec<f64>,
+    /// `(t, w, count)`: `count` of the sampled walks sat at `w` after `t`
+    /// steps (from the last [`AlphaBeta::sample_into`]).
+    samples: Vec<(u32, VertexId, u32)>,
 }
 
 impl AlphaBeta {
@@ -188,7 +198,7 @@ impl AlphaBeta {
     /// [`AlphaBeta::compute_into`]. Until then `beta` returns +∞
     /// everywhere, i.e. the table is uninformative, never unsound.
     pub fn new_empty() -> Self {
-        AlphaBeta { d_max: 0, alpha: Vec::new(), beta: Vec::new() }
+        AlphaBeta { d_max: 0, alpha: Vec::new(), beta: Vec::new(), samples: Vec::new() }
     }
 
     /// Runs Algorithm 2 for query vertex `u` with `params.r_bounds` walks.
@@ -220,7 +230,8 @@ impl AlphaBeta {
     /// [`AlphaBeta::compute`] into existing storage: `self`'s tables and
     /// the caller's walk/counter buffers are reused, so a warm query
     /// worker recomputes the L1 bound without allocating. Results are
-    /// bit-identical to `compute` for the same inputs.
+    /// bit-identical to `compute` for the same inputs. Equivalent to
+    /// [`AlphaBeta::sample_into`] followed by [`AlphaBeta::bin_into`].
     #[allow(clippy::too_many_arguments)]
     pub fn compute_into(
         &mut self,
@@ -233,37 +244,71 @@ impl AlphaBeta {
         walks: &mut WalkPositions,
         counter: &mut PositionCounter,
     ) {
+        self.sample_into(g, u, params, seed, walks, counter);
+        self.bin_into(params, diag, dist);
+    }
+
+    /// The walk half of Algorithm 2: steps `params.r_bounds` reverse walks
+    /// from `u` for up to `T` steps (stopping once all have died) and
+    /// records each step's distinct positions with their counts. Needs no
+    /// distances; the RNG stream is the one [`AlphaBeta::compute_into`]
+    /// draws for the same `seed`.
+    pub fn sample_into(
+        &mut self,
+        g: &Graph,
+        u: VertexId,
+        params: &SimRankParams,
+        seed: u64,
+        walks: &mut WalkPositions,
+        counter: &mut PositionCounter,
+    ) {
         params.validate();
-        let t_steps = params.t as usize;
-        let d_max = params.d_max as usize;
-        self.d_max = params.d_max;
-        self.alpha.clear();
-        self.alpha.resize((d_max + 1) * t_steps, 0.0);
+        self.samples.clear();
         let engine = WalkEngine::new(g);
-        let r = params.r_bounds as usize;
         let mut rng = Pcg32::from_parts(&[seed, 0xB0, u as u64]);
-        walks.reset(u, r);
-        for t in 0..t_steps {
+        walks.reset(u, params.r_bounds as usize);
+        for t in 0..params.t {
             if t > 0 {
                 walks.step_count(&engine, &mut rng, counter);
             } else {
                 counter.fill(walks.positions());
             }
-            for (w, cnt) in counter.iter() {
-                let d = dist(w);
-                if d == UNREACHED || d as usize > d_max {
-                    continue;
-                }
-                let a = diag.weight(w) * cnt as f64 / r as f64;
-                let slot = &mut self.alpha[d as usize * t_steps + t];
-                if a > *slot {
-                    *slot = a;
-                }
-            }
+            self.samples.extend(counter.iter().map(|(w, cnt)| (t, w, cnt)));
             if walks.is_empty() {
-                // All walks dead: every remaining α estimate is 0 (the
-                // freshly-zeroed table rows), so the scan can stop.
+                // All walks dead: every remaining α estimate is 0.
                 break;
+            }
+        }
+    }
+
+    /// Every walk position recorded by the last
+    /// [`AlphaBeta::sample_into`] (a vertex may repeat across steps) —
+    /// the vertices whose distance [`AlphaBeta::bin_into`] reads.
+    pub fn sampled_positions(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.samples.iter().map(|&(_, w, _)| w)
+    }
+
+    /// The binning half of Algorithm 2: fills α from the recorded samples
+    /// by `dist(w)` (the undirected BFS distance from `u`, or
+    /// [`UNREACHED`]; positions beyond `d_max` are ignored), then β.
+    /// `params` must be the ones the samples were drawn with. α takes a
+    /// max per cell, so the result does not depend on sample order.
+    pub fn bin_into(&mut self, params: &SimRankParams, diag: &Diagonal, dist: impl Fn(VertexId) -> u32) {
+        let t_steps = params.t as usize;
+        let d_max = params.d_max as usize;
+        let r = params.r_bounds as usize;
+        self.d_max = params.d_max;
+        self.alpha.clear();
+        self.alpha.resize((d_max + 1) * t_steps, 0.0);
+        for &(t, w, cnt) in &self.samples {
+            let d = dist(w);
+            if d == UNREACHED || d as usize > d_max {
+                continue;
+            }
+            let a = diag.weight(w) * cnt as f64 / r as f64;
+            let slot = &mut self.alpha[d as usize * t_steps + t as usize];
+            if a > *slot {
+                *slot = a;
             }
         }
         // β(u,d) = Σ_t cᵗ · max_{max(0,d−t) ≤ d' ≤ min(d_max, d+t)} α(d', t).
@@ -423,6 +468,41 @@ mod tests {
         let ab =
             AlphaBeta::compute(&g, 0, &params, &Diagonal::paper_default(params.c), |w| bfs.distance(w), 1);
         assert!((ab.alpha(0, 0) - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn split_sampling_over_targeted_bfs_is_bit_identical() {
+        // `sample_into` + `bin_into` over a BFS stopped at the sampled
+        // positions must reproduce `compute_into` over the full BFS to the
+        // bit — the query path relies on it for byte-identical hits.
+        let g = gen::copying_web(400, 4, 0.8, 17);
+        let params = SimRankParams { r_bounds: 300, ..Default::default() };
+        let diag = Diagonal::paper_default(params.c);
+        let dead = (0..400).find(|&v| g.in_degree(v) == 0).expect("an in-degree-0 vertex");
+        let hub = (0..400).max_by_key(|&v| g.in_degree(v)).unwrap();
+        let (mut walks, mut counter) = (WalkPositions::new(), PositionCounter::new());
+        let mut targeted = BfsBuffers::new(400);
+        let mut targets = Vec::new();
+        for u in [dead, hub, 3, 77, 250] {
+            let full = undirected_dist(&g, u, params.d_max);
+            let mut want = AlphaBeta::new_empty();
+            want.compute_into(&g, u, &params, &diag, |w| full.distance(w), 9, &mut walks, &mut counter);
+            let mut got = AlphaBeta::new_empty();
+            got.sample_into(&g, u, &params, 9, &mut walks, &mut counter);
+            targets.clear();
+            targets.extend(got.sampled_positions());
+            if u == dead {
+                assert!(targets.iter().all(|&w| w == dead), "walks from {u} died at step 0");
+            }
+            targeted.run_to_targets(&g, u, Direction::Undirected, params.d_max, 0, &targets);
+            got.bin_into(&params, &diag, |w| targeted.distance(w));
+            for d in 0..=params.d_max {
+                assert_eq!(got.beta(d).to_bits(), want.beta(d).to_bits(), "u={u} d={d}");
+                for t in 0..params.t {
+                    assert_eq!(got.alpha(d, t).to_bits(), want.alpha(d, t).to_bits(), "u={u} d={d} t={t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! bit. The CI pin compares `--hits-out` across shard counts to keep
 //! this argument honest.
 //!
-//! What is *not* partition-invariant: BFS distance enumeration runs per
-//! shard over the whole graph, so `bfs_visited` in merged [`QueryStats`]
-//! is inflated roughly `N×` relative to an unsharded run (the fate counters — pruned/refined/reported —
-//! do sum exactly). The deterministic fast tier scores vertices without
+//! What is *not* partition-invariant: each shard runs its own query BFS
+//! to its own candidates and L1 walk positions, and a shard with no
+//! candidates runs none, so `bfs_visited` and `walk_steps` in merged
+//! [`QueryStats`] differ from an unsharded run (the fate counters —
+//! pruned/refined/reported — do sum exactly). The deterministic fast tier scores vertices without
 //! consulting the inverted map, so it is forced off under sharding, as
 //! are explain traces (they would interleave per-shard scans).
 

@@ -5,9 +5,11 @@
 //! exactly the paper's §7.1. [`TopKIndex::query`] then answers a top-k
 //! query (Algorithm 5):
 //!
-//! 1. enumerate candidates `S = {v : Γ(u) ∩ Γ(v) ≠ ∅}` from the index;
+//! 1. enumerate candidates `S = {v : Γ(u) ∩ Γ(v) ≠ ∅}` from the index
+//!    (none: the query is answered, empty, with no further work);
 //! 2. sort by undirected distance (the §2.2 "ascending order of distance"
-//!    scan) and prune with the three upper bounds
+//!    scan; the BFS stops at the last vertex whose distance is read) and
+//!    prune with the three upper bounds
 //!    (`min(c^d, β(u,d), L2(u,v))` against `max(θ, current k-th score)`);
 //! 3. adaptive sampling: coarse estimate with `R = 10` walks, refine the
 //!    survivors with `R = 100` (§7.2);
@@ -220,7 +222,10 @@ pub struct QueryStats {
     /// Candidates refined with the full walk budget whose score reached θ
     /// (offered to the top-k heap; lower scorers may still be evicted).
     pub reported: u64,
-    /// Vertices visited by the query-time BFS.
+    /// Vertices visited by the query-time BFS, which stops at the last
+    /// vertex whose distance the query reads (its candidates, its L1 walk
+    /// positions, and with the candidate ball the whole ball) and is
+    /// skipped, at 0, for a query with no candidates.
     pub bfs_visited: u64,
     /// Reverse walk steps performed answering the query (L1 table, coarse
     /// and refine estimates — everything the walk kernels stepped).
@@ -370,15 +375,17 @@ impl TopKIndex {
 /// without heap allocation. The graph and index are passed per call,
 /// which lets the batch engine keep scratches in a `'static` pool.
 ///
-/// [`QueryScratch::query_into`] is the staged pipeline: candidate
-/// enumeration → per-query bound tables → bounded/adaptive scan → hit
-/// collection. Results are bit-identical to the pre-split monolithic
-/// query for the same `(graph, index, u, k, opts)` — each stage consumes
-/// its own deterministic seed stream, so neither batching nor thread
-/// count can perturb scores.
+/// [`QueryScratch::query_into`] is the staged pipeline: candidate lookup
+/// → L1 walk sampling → a BFS stopped at the vertices whose distance is
+/// read → L1 binning and shared source walks → bounded/adaptive scan →
+/// hit collection. A query with no candidate stops after the lookup.
+/// Each stage consumes its own deterministic seed stream, so neither
+/// batching nor thread count can perturb scores.
 pub struct QueryScratch {
-    /// Query-time BFS out to the search horizon.
+    /// Query-time BFS, stopped at its targets.
     bfs: BfsBuffers,
+    /// The BFS targets: every vertex whose distance the query reads.
+    targets: Vec<VertexId>,
     /// Algorithm 1 walk/counter buffers.
     estimator: EstimatorBuffers,
     /// Algorithm 2 L1 table storage (recomputed per query when enabled).
@@ -423,6 +430,7 @@ impl QueryScratch {
     pub fn new(g: &Graph) -> Self {
         QueryScratch {
             bfs: BfsBuffers::new(g.num_vertices()),
+            targets: Vec::new(),
             estimator: EstimatorBuffers::new(),
             l1: AlphaBeta::new_empty(),
             walks: WalkPositions::new(),
@@ -482,16 +490,40 @@ impl QueryScratch {
             out.timings.fast_tier_ns = dt;
             out.stats.fast_tier_queries = 1;
         } else {
+            // Stage attribution: candidate lookup and the BFS are
+            // `enumerate`; L1 walk sampling and binning are `bounds`, even
+            // though sampling runs before the BFS it supplies targets to.
             let t = Instant::now();
-            self.enumerate_candidates(g, index, u, opts, &mut out.stats);
-            let dt = t.elapsed().as_nanos() as u64;
-            self.obs.stages[0].record(dt);
-            out.timings.stages[0] = dt;
-            let t = Instant::now();
-            self.prepare_query_tables(g, index, u, opts);
-            let dt = t.elapsed().as_nanos() as u64;
-            self.obs.stages[1].record(dt);
-            out.timings.stages[1] = dt;
+            index.candidates.candidates_into_stamped(u, &mut self.cand_ids, &mut self.seen);
+            let mut enumerate_ns = t.elapsed().as_nanos() as u64;
+            let mut bounds_ns = 0;
+            self.cands.clear();
+            // With no candidate the scan has nothing to decide: skip the
+            // BFS, the L1 table and the shared source walks outright.
+            if !self.cand_ids.is_empty() || opts.candidate_ball.is_some() {
+                let t = Instant::now();
+                if opts.use_l1 {
+                    self.l1.sample_into(
+                        g,
+                        u,
+                        &index.params,
+                        mix_seed(&[index.seed, 3, u as u64]),
+                        &mut self.walks,
+                        &mut self.counter,
+                    );
+                }
+                bounds_ns += t.elapsed().as_nanos() as u64;
+                let t = Instant::now();
+                self.enumerate_candidates(g, index, u, opts, &mut out.stats);
+                enumerate_ns += t.elapsed().as_nanos() as u64;
+                let t = Instant::now();
+                self.prepare_query_tables(g, index, u, opts);
+                bounds_ns += t.elapsed().as_nanos() as u64;
+            }
+            self.obs.stages[0].record(enumerate_ns);
+            out.timings.stages[0] = enumerate_ns;
+            self.obs.stages[1].record(bounds_ns);
+            out.timings.stages[1] = bounds_ns;
             let t = Instant::now();
             self.scan_candidates(g, index, u, k, opts, theta, &mut out.stats, out.explain.as_mut());
             let dt = t.elapsed().as_nanos() as u64;
@@ -565,9 +597,13 @@ impl QueryScratch {
         }
     }
 
-    /// Stage 1 — BFS to the horizon, then candidate enumeration (line 2 of
-    /// Algorithm 5, plus the optional candidate-ball extension), leaving
-    /// `self.cands` sorted for the ascending-distance scan (§2.2).
+    /// Stage 1 — distances, then the candidate list: a BFS from `u` that
+    /// stops once it has reached every vertex whose distance Algorithm 5
+    /// reads (the index candidates in `self.cand_ids`, the L1 walk
+    /// positions already sampled into `self.l1`, and with the
+    /// candidate-ball extension the whole ball), then the ball extension,
+    /// leaving `self.cands` sorted for the ascending-distance scan (§2.2).
+    /// Every distance read is the one a full BFS to `d_max` would give.
     fn enumerate_candidates(
         &mut self,
         g: &Graph,
@@ -576,14 +612,19 @@ impl QueryScratch {
         opts: &QueryOptions,
         stats: &mut QueryStats,
     ) {
-        // Distances from u out to the search horizon (needed by the c^d and
-        // L1 bounds; undirected — see DESIGN.md on Proposition 4).
-        self.bfs.run(g, u, Direction::Undirected, index.params.d_max);
+        self.targets.clear();
+        self.targets.extend_from_slice(&self.cand_ids);
+        if opts.use_l1 {
+            self.targets.extend(self.l1.sampled_positions());
+        }
+        // Undirected distances (needed by the c^d and L1 bounds — see
+        // DESIGN.md on Proposition 4), exact out to `d_max`.
+        let (d_max, ball) = (index.params.d_max, opts.candidate_ball.unwrap_or(0));
+        self.bfs.run_to_targets(g, u, Direction::Undirected, d_max, ball, &self.targets);
         stats.bfs_visited = self.bfs.visited().len() as u64;
 
-        // The stamp generation opened here (u and all index candidates
-        // marked seen) carries over to the candidate-ball extension below.
-        index.candidates.candidates_into_stamped(u, &mut self.cand_ids, &mut self.seen);
+        // The stamp generation opened by the candidate lookup (u and all
+        // index candidates marked seen) carries over to the ball extension.
         if let Some(radius) = opts.candidate_ball {
             for &v in self.bfs.visited() {
                 if self.bfs.distance(v) <= radius && self.seen.insert(v) {
@@ -591,7 +632,6 @@ impl QueryScratch {
                 }
             }
         }
-        self.cands.clear();
         self.cands.extend(self.cand_ids.iter().map(|&v| (self.bfs.distance(v), v)));
         stats.candidates = self.cands.len() as u64;
         // Ascending-distance scan order (§2.2). The (distance, vertex) key
@@ -600,22 +640,14 @@ impl QueryScratch {
         self.cands.sort_unstable();
     }
 
-    /// Stage 2 — per-query bound tables: the L1 table (Algorithm 2) and the
-    /// optional shared source walks, both into reused storage.
+    /// Stage 2 — per-query bound tables: the L1 table (Algorithm 2, binned
+    /// from the walks sampled before the BFS) and the optional shared
+    /// source walks, both into reused storage.
     fn prepare_query_tables(&mut self, g: &Graph, index: &TopKIndex, u: VertexId, opts: &QueryOptions) {
         let params = &index.params;
         if opts.use_l1 {
             let bfs = &self.bfs;
-            self.l1.compute_into(
-                g,
-                u,
-                params,
-                &index.diag,
-                |w| bfs.distance(w),
-                mix_seed(&[index.seed, 3, u as u64]),
-                &mut self.walks,
-                &mut self.counter,
-            );
+            self.l1.bin_into(params, &index.diag, |w| bfs.distance(w));
         }
         if opts.share_source_walks {
             self.source_walks.generate_into(
@@ -1037,6 +1069,108 @@ mod tests {
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 2, 1);
         let res = idx.query(&g, 9, 5, &QueryOptions::default());
         assert!(res.hits.is_empty());
+    }
+
+    #[test]
+    fn zero_candidate_query_skips_bfs_and_walks() {
+        // An in-degree-0 vertex has no candidates: the query must answer
+        // without a BFS, an L1 table or shared source walks.
+        let g = gen::copying_web(300, 4, 0.8, 8);
+        let params = fast_params();
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
+        let u =
+            (0..300).find(|&v| g.in_degree(v) == 0 && g.out_degree(v) > 0).expect("an in-degree-0 vertex");
+        let mut ctx = QueryContext::new(&g, &idx);
+        for opts in [
+            QueryOptions::default(),
+            QueryOptions { share_source_walks: true, explain: true, ..Default::default() },
+        ] {
+            let res = ctx.query(u, 10, &opts);
+            assert!(res.hits.is_empty(), "{res:?}");
+            assert_eq!(res.stats.candidates, 0);
+            assert_eq!(res.stats.bfs_visited, 0, "no BFS without candidates");
+            assert_eq!(res.stats.walk_steps, 0, "no L1 or source walks without candidates");
+            if let Some(tr) = &res.explain {
+                assert!(tr.records.is_empty());
+            }
+        }
+        // The candidate-ball extension makes the ball the candidate set, so
+        // the BFS runs (and must complete the ball).
+        let ball = ctx.query(u, 10, &QueryOptions { candidate_ball: Some(1), ..Default::default() });
+        assert!(ball.stats.bfs_visited > 1 && ball.stats.candidates > 0, "{:?}", ball.stats);
+    }
+
+    #[test]
+    fn distances_read_match_the_full_bfs() {
+        // The targeted BFS may leave vertices unvisited, but every distance
+        // the query reads — candidate keys and the L1 table's bins — must
+        // be the one a full BFS to d_max gives.
+        let g = gen::copying_web(600, 4, 0.8, 13);
+        let params = fast_params();
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
+        let mut ctx = QueryContext::new(&g, &idx);
+        let mut full = BfsBuffers::new(600);
+        let mut seen = SeenStamps::new();
+        for ball in [None, Some(2)] {
+            let opts = QueryOptions { candidate_ball: ball, ..Default::default() };
+            for u in srs_graph::stats::sample_query_vertices(&g, 12, 4) {
+                if ctx.query(u, 10, &opts).stats.candidates == 0 {
+                    continue; // the early return: no distance was read
+                }
+                full.run(&g, u, Direction::Undirected, params.d_max);
+                let sc = &ctx.scratch;
+                assert!(sc.bfs.visited().len() <= full.visited().len());
+                for &(d, v) in &sc.cands {
+                    assert_eq!(d, full.distance(v), "u={u} v={v} ball={ball:?}");
+                }
+                // The candidate set is the index's plus, with the ball
+                // extension, every other vertex the full BFS puts in the ball.
+                let mut want_cands = Vec::new();
+                idx.candidates.candidates_into_stamped(u, &mut want_cands, &mut seen);
+                if let Some(r) = ball {
+                    want_cands.extend(full.visited().iter().filter(|&&v| v != u && full.distance(v) <= r));
+                }
+                want_cands.sort_unstable();
+                want_cands.dedup();
+                let mut got_cands: Vec<VertexId> = sc.cands.iter().map(|&(_, v)| v).collect();
+                got_cands.sort_unstable();
+                assert_eq!(got_cands, want_cands, "u={u} ball={ball:?}");
+                let want = AlphaBeta::compute(
+                    &g,
+                    u,
+                    &params,
+                    &idx.diag,
+                    |w| full.distance(w),
+                    mix_seed(&[idx.seed, 3, u as u64]),
+                );
+                for d in 0..=params.d_max {
+                    assert_eq!(sc.l1.beta(d).to_bits(), want.beta(d).to_bits(), "u={u} d={d}");
+                    for t in 0..params.t {
+                        assert_eq!(
+                            sc.l1.alpha(d, t).to_bits(),
+                            want.alpha(d, t).to_bits(),
+                            "u={u} d={d} t={t}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn query_bfs_stops_short_of_the_whole_graph() {
+        // A deterministic work check: the query BFS stops at the last
+        // vertex whose distance the query reads, so 64 queries visit
+        // fewer vertices in total than 64 whole-graph sweeps would.
+        let n = 2000;
+        let g = gen::copying_web(n, 4, 0.8, 3);
+        let params = SimRankParams { r_bounds: 100, ..Default::default() };
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
+        let mut ctx = QueryContext::new(&g, &idx);
+        let queries = srs_graph::stats::sample_query_vertices(&g, 64, 5);
+        let visited: u64 =
+            queries.iter().map(|&u| ctx.query(u, 10, &QueryOptions::default()).stats.bfs_visited).sum();
+        assert!(visited < 64 * n as u64, "visited {visited} >= {}", 64 * n as u64);
     }
 
     #[test]

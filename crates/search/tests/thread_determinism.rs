@@ -15,10 +15,18 @@ fn assert_thread_invariant(opts_base: QueryOptions, label: &str) {
 }
 
 fn assert_thread_invariant_on(g: &Graph, idx: &TopKIndex, opts_base: QueryOptions, label: &str) {
-    let queries: Vec<VertexId> = srs_graph::stats::sample_query_vertices(g, 24, 19);
+    let mut queries: Vec<VertexId> = srs_graph::stats::sample_query_vertices(g, 24, 19);
+    // An in-degree-0 vertex has no index candidates: its query takes the
+    // early return (or, with the candidate ball, a ball-only scan).
+    let orphan = (0..g.num_vertices()).find(|&v| g.in_degree(v) == 0).expect("an in-degree-0 vertex");
+    queries.push(orphan);
     let opts = QueryOptions { explain: true, ..opts_base };
     let reference = QueryEngine::with_threads(g, idx, 1).query_batch(&queries, 10, &opts);
     assert!(reference.results.iter().any(|r| !r.hits.is_empty()), "{label}: degenerate fixture");
+    let last = reference.results.last().unwrap();
+    if opts.candidate_ball.is_none() {
+        assert_eq!(last.stats.candidates, 0, "{label}: u={orphan} should have no candidates");
+    }
     for threads in [1usize, 2, 8] {
         let batch = QueryEngine::with_threads(g, idx, threads).query_batch(&queries, 10, &opts);
         for (i, (a, b)) in reference.results.iter().zip(&batch.results).enumerate() {
