@@ -1,5 +1,5 @@
 //! Incremental-maintenance benchmark: absorbing an edit batch via the
-//! delta pipeline (masked extend + delta bundle + chain reload) vs the
+//! delta pipeline (dirty-row extend + delta bundle + chain reload) vs the
 //! rebuild-repack-reload cycle it replaces, on the same base dataset.
 //!
 //! Three batch shapes ride the ladder:
@@ -86,7 +86,7 @@ fn bench_extend(_c: &mut Criterion) {
     };
 
     for (name, batch) in [("low-reach-insert", &low_reach_insert), ("mixed", &mixed), ("grow", &grow)] {
-        // Incremental side: masked extend + delta encode, then the chain
+        // Incremental side: dirty-row extend + delta encode, then the chain
         // reload a restarting server would pay.
         let t0 = Instant::now();
         let built =

@@ -29,7 +29,7 @@ pub struct ExtendBenchEntry {
     /// Fraction of the new graph's rows recomputed:
     /// `(appended + dirty) / new_n`.
     pub dirty_fraction: f64,
-    /// Wall-clock seconds for `build_delta`: masked incremental extend
+    /// Wall-clock seconds for `build_delta`: dirty-row incremental extend
     /// plus delta-bundle encoding.
     pub apply_secs: f64,
     /// Wall-clock seconds to replay the written delta through

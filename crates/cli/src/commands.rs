@@ -240,8 +240,9 @@ fn preprocess(args: &Args) -> Result<String, String> {
     };
     let elapsed = start.elapsed();
     let path = Path::new(args.req("index")?);
-    let f = std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    persist::save(&index, std::io::BufWriter::new(f)).map_err(|e| e.to_string())?;
+    let mut bytes = Vec::new();
+    persist::save(&index, &mut bytes).map_err(|e| e.to_string())?;
+    io::write_atomic(path, &bytes).map_err(|e| format!("{}: {e}", path.display()))?;
     let _ = writeln!(
         out,
         "preprocess done in {:.2?}: index {} bytes ({} candidate edges) -> {}",
@@ -285,21 +286,20 @@ fn pack(args: &Args) -> Result<String, String> {
     // mismatch gets baked into an artifact.
     let ds = Dataset::new(g, index).map_err(|e| e.to_string())?;
     let out = Path::new(args.req("out")?);
-    let f = std::fs::File::create(out).map_err(|e| format!("{}: {e}", out.display()))?;
-    let w = std::io::BufWriter::new(f);
     // `--shards N` writes the sharded layout (per-shard inverted maps +
     // manifest) even for N=1, so shard-count experiments compare like
     // with like; without the flag the classic unsharded bundle is
     // written.
     let shards: u32 = args.get_or("shards", 0)?;
-    let layout = if shards > 0 {
-        snapshot::pack_sharded(ds.graph(), ds.index(), shards, w).map_err(|e| e.to_string())?;
-        format!(", {shards} shards")
+    let (packed, layout) = if shards > 0 {
+        let packed =
+            snapshot::pack_sharded_to_bytes(ds.graph(), ds.index(), shards).map_err(|e| e.to_string())?;
+        (packed, format!(", {shards} shards"))
     } else {
-        snapshot::pack(ds.graph(), ds.index(), w).map_err(|e| e.to_string())?;
-        String::new()
+        (snapshot::pack_to_bytes(ds.graph(), ds.index()), String::new())
     };
-    let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
+    io::write_atomic(out, &packed).map_err(|e| format!("{}: {e}", out.display()))?;
+    let bytes = packed.len();
     Ok(format!(
         "packed snapshot: n={} m={} index {} bytes{layout} -> {} ({bytes} bytes)\n",
         ds.graph().num_vertices(),
@@ -815,7 +815,7 @@ fn delta(args: &Args) -> Result<String, String> {
     let built = srs_search::build_delta(&ds, &batch, depth, threads, chain.tip_fingerprint)
         .map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
-    std::fs::write(out, &built.bytes).map_err(|e| format!("{}: {e}", out.display()))?;
+    io::write_atomic(out, &built.bytes).map_err(|e| format!("{}: {e}", out.display()))?;
     Ok(format!(
         "delta built in {:.2?}: +{} -{} edges, {} appended, {} dirty, {} reused \
          (staleness depth {depth}, chain depth {} -> {}) -> {} ({} bytes, fingerprint {:016x})\n",
@@ -874,10 +874,10 @@ fn compact(args: &Args) -> Result<String, String> {
     }
     let out = Path::new(args.req("out")?);
     let start = std::time::Instant::now();
-    let f = std::fs::File::create(out).map_err(|e| format!("{}: {e}", out.display()))?;
-    let (ds, chain) =
-        srs_search::compact_chain(base, &deltas, std::io::BufWriter::new(f)).map_err(|e| e.to_string())?;
-    let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
+    let mut packed = Vec::new();
+    let (ds, chain) = srs_search::compact_chain(base, &deltas, &mut packed).map_err(|e| e.to_string())?;
+    io::write_atomic(out, &packed).map_err(|e| format!("{}: {e}", out.display()))?;
+    let bytes = packed.len();
     Ok(format!(
         "compacted {} deltas in {:.2?}: n={} m={} -> {} ({bytes} bytes, chain fingerprint {:016x})\n",
         chain.depth,

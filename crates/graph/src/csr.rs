@@ -234,6 +234,20 @@ impl Graph {
             in_sources[*c as usize] = u; // edges sorted by u: sources land ascending per v
             *c += 1;
         }
+        Graph::from_csr(n, out_offsets, out_targets, in_offsets, in_sources)
+    }
+
+    /// Assembles a graph from finished, mutually consistent CSR arrays
+    /// (both sides sorted and deduplicated per row), deriving the
+    /// reverse-step descriptors from the in-side.
+    pub(crate) fn from_csr(
+        n: u32,
+        out_offsets: Vec<u64>,
+        out_targets: Vec<VertexId>,
+        in_offsets: Vec<u64>,
+        in_sources: Vec<VertexId>,
+    ) -> Graph {
+        debug_assert!(out_offsets.len() == n as usize + 1 && in_offsets.len() == n as usize + 1);
         let reverse_desc = build_reverse_desc(&in_offsets, &in_sources);
         Graph {
             n,
@@ -243,6 +257,16 @@ impl Graph {
             in_sources: in_sources.into(),
             reverse_desc: reverse_desc.into(),
         }
+    }
+
+    /// The out-side CSR arrays `(offsets, targets)`.
+    pub(crate) fn out_csr(&self) -> (&[u64], &[VertexId]) {
+        (&self.out_offsets, &self.out_targets)
+    }
+
+    /// The in-side CSR arrays `(offsets, sources)`.
+    pub(crate) fn in_csr(&self) -> (&[u64], &[VertexId]) {
+        (&self.in_offsets, &self.in_sources)
     }
 
     /// Convenience constructor from an edge iterator (drop self-loops).
@@ -548,6 +572,94 @@ fn validate_reverse_desc_ranges(n: u32, m: u64, desc: &[u64]) -> Result<(), Grap
         }
     }
     Ok(())
+}
+
+/// Splices a batch of edits into a row-sorted CSR: row `r` of the result
+/// is `(old_r ∖ deletions_r) ∪ insertions_r`, sorted and deduplicated, for
+/// `r` in `0..rows` (`rows` may exceed the old row count; rows past it
+/// start empty). An entry both deleted and inserted ends up present.
+///
+/// `offsets`/`entries` are the old CSR (`offsets.len() − 1` rows, each
+/// sorted ascending without duplicates); `deletions` and `insertions`
+/// are `(row, entry)` pairs sorted and deduplicated, every row below
+/// `rows`. A run of rows without edits is copied with one slice copy and
+/// an offset shift, so the cost is `O(rows + entries + edits)`. Inputs
+/// that break the ordering contract produce an unsorted result, never a
+/// panic.
+///
+/// This is the one merge behind [`crate::GraphDelta::apply`] (both
+/// adjacency sides) and the candidate index's inverted-map update.
+///
+/// ```
+/// use srs_graph::csr::splice_rows;
+///
+/// // Rows: 0 → [1, 3], 1 → [0].
+/// let (off, ent) = splice_rows(&[0, 2, 3], &[1, 3, 0], 3, &[(0, 3)], &[(0, 2), (2, 0)]);
+/// assert_eq!(off, vec![0, 2, 3, 4]);
+/// assert_eq!(ent, vec![1, 2, 0, 0]);
+/// ```
+pub fn splice_rows(
+    offsets: &[u64],
+    entries: &[VertexId],
+    rows: usize,
+    deletions: &[(VertexId, VertexId)],
+    insertions: &[(VertexId, VertexId)],
+) -> (Vec<u64>, Vec<VertexId>) {
+    let old_rows = offsets.len().saturating_sub(1);
+    assert!(rows >= old_rows, "splice_rows cannot drop rows ({old_rows} → {rows})");
+    let net = insertions.len() as i64 - deletions.len() as i64;
+    let mut out_off: Vec<u64> = Vec::with_capacity(rows + 1);
+    let mut out_ent: Vec<VertexId> = Vec::with_capacity((entries.len() as i64 + net.max(0)) as usize);
+    out_off.push(0);
+    // Copies the edit-free rows `lo..hi`: one slice copy, shifted offsets.
+    let copy_run = |lo: usize, hi: usize, off: &mut Vec<u64>, ent: &mut Vec<VertexId>| {
+        let old_hi = hi.min(old_rows);
+        if lo < old_hi {
+            let base = offsets[lo];
+            let shift = ent.len() as u64;
+            ent.extend_from_slice(&entries[base as usize..offsets[old_hi] as usize]);
+            off.extend(offsets[lo + 1..=old_hi].iter().map(|&o| o - base + shift));
+        }
+        let len = ent.len() as u64;
+        off.extend(std::iter::repeat_n(len, hi.saturating_sub(old_hi.max(lo))));
+    };
+    let (mut di, mut ii, mut next_row) = (0usize, 0usize, 0usize);
+    loop {
+        let row = match (deletions.get(di), insertions.get(ii)) {
+            (None, None) => break,
+            (Some(d), None) => d.0,
+            (None, Some(i)) => i.0,
+            (Some(d), Some(i)) => d.0.min(i.0),
+        } as usize;
+        copy_run(next_row, row, &mut out_off, &mut out_ent);
+        let d_end = di + deletions[di..].iter().take_while(|e| e.0 as usize == row).count();
+        let i_end = ii + insertions[ii..].iter().take_while(|e| e.0 as usize == row).count();
+        let (dels, ins) = (&deletions[di..d_end], &insertions[ii..i_end]);
+        let old: &[VertexId] =
+            if row < old_rows { &entries[offsets[row] as usize..offsets[row + 1] as usize] } else { &[] };
+        // Three-way merge of sorted lists: old ∖ dels, then ∪ ins.
+        let (mut d, mut i) = (0usize, 0usize);
+        for &x in old {
+            while d < dels.len() && dels[d].1 < x {
+                d += 1;
+            }
+            while i < ins.len() && ins[i].1 < x {
+                out_ent.push(ins[i].1);
+                i += 1;
+            }
+            if i < ins.len() && ins[i].1 == x {
+                i += 1; // re-inserted: present whether or not it was deleted
+                out_ent.push(x);
+            } else if d >= dels.len() || dels[d].1 != x {
+                out_ent.push(x);
+            }
+        }
+        out_ent.extend(ins[i..].iter().map(|e| e.1));
+        out_off.push(out_ent.len() as u64);
+        (di, ii, next_row) = (d_end, i_end, row + 1);
+    }
+    copy_run(next_row, rows, &mut out_off, &mut out_ent);
+    (out_off, out_ent)
 }
 
 /// Builds the per-vertex reverse-step descriptor array from an in-CSR

@@ -16,7 +16,8 @@
 //!   in both ends up **present**;
 //! * inserting an existing edge and deleting a missing edge are no-ops;
 //! * vertex ids are append-only: the delta may grow `n`, never shrink it;
-//! * self-loops are dropped, matching [`crate::GraphBuilder`]'s default.
+//! * self-loops are dropped, matching [`crate::GraphBuilder`]'s default
+//!   (including any the base graph carries).
 //!
 //! [`dilate_dirty`] is the companion for incremental index maintenance:
 //! given the set of directly-changed vertices it expands along forward
@@ -24,6 +25,7 @@
 //! visiting only the frontier's out-edges (`O(edges touched)`) instead of
 //! rescanning every vertex per step.
 
+use crate::csr::splice_rows;
 use crate::{Graph, GraphError, VertexId};
 
 /// Magic prefix of the serialized edit-batch format (see
@@ -110,7 +112,15 @@ impl GraphDelta {
     }
 
     /// Applies the delta to `base`, producing a new canonical CSR graph
-    /// (with fresh reverse-step descriptors). `O(m + |edits| log |edits|)`.
+    /// (with fresh reverse-step descriptors).
+    ///
+    /// A row merge, not a rebuild: the edits are normalized once into a
+    /// `(u, v)`-sorted list for the out-side and a `(v, u)`-sorted list for
+    /// the in-side, and [`crate::csr::splice_rows`] copies every edit-free
+    /// row run verbatim while merging the edited rows. Self-loops are
+    /// dropped on both sides — inserted ones and any the base carries (a
+    /// [`crate::SelfLoopPolicy::Keep`] base) alike, as
+    /// [`Graph::from_edges`] would. `O(n + m + |edits| log |edits|)`.
     pub fn apply(&self, base: &Graph) -> Result<Graph, GraphError> {
         let n = base.num_vertices().max(self.grow_to);
         for &(u, v) in self.insertions.iter().chain(&self.deletions) {
@@ -118,11 +128,21 @@ impl GraphDelta {
                 return Err(GraphError::VertexOutOfRange { vertex: u.max(v) as u64, n: n as u64 });
             }
         }
-        let mut dels = self.deletions.clone();
-        dels.sort_unstable();
-        dels.dedup();
-        let kept = base.edges().filter(|e| dels.binary_search(e).is_err());
-        Graph::from_edges(n, kept.chain(self.insertions.iter().copied()))
+        let sorted = |mut edits: Vec<(VertexId, VertexId)>| {
+            edits.sort_unstable();
+            edits.dedup();
+            edits
+        };
+        let flipped = |edits: &[(VertexId, VertexId)]| sorted(edits.iter().map(|&(u, v)| (v, u)).collect());
+        let ins = sorted(self.insertions.iter().copied().filter(|&(u, v)| u != v).collect());
+        let base_loops = (0..base.num_vertices()).filter(|&u| base.has_edge(u, u)).map(|u| (u, u));
+        let dels = sorted(self.deletions.iter().copied().chain(base_loops).collect());
+        let rows = n as usize;
+        let (off, tgt) = base.out_csr();
+        let (out_offsets, out_targets) = splice_rows(off, tgt, rows, &dels, &ins);
+        let (off, src) = base.in_csr();
+        let (in_offsets, in_sources) = splice_rows(off, src, rows, &flipped(&dels), &flipped(&ins));
+        Ok(Graph::from_csr(n, out_offsets, out_targets, in_offsets, in_sources))
     }
 
     /// Serializes the delta to the `SRSEDIT1` byte format (normalizing

@@ -11,6 +11,9 @@
 //!   bundle (see [`crate::container`]), for fast reloading of generated
 //!   datasets between benchmark runs. The retired per-edge `SRSCSR01`
 //!   stream is rejected with an error that names it.
+//!
+//! [`write_atomic`] is the crash-safe way every persisted artifact
+//! (index, snapshot, delta chain link) reaches its final path.
 
 use crate::{Graph, GraphBuilder, GraphError, VertexId};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -113,6 +116,32 @@ pub fn graph_from_bundle_bytes(raw: Vec<u8>) -> Result<Graph, GraphError> {
     Graph::from_bundle(&reader)
 }
 
+/// Writes `bytes` to `path` so that a crash at any point leaves either
+/// the previous file (or none) or the complete new one at `path` — never
+/// a torn file. The bytes go to the sibling `<name>.tmp`, which is
+/// fsynced and renamed over `path`; the directory is then fsynced so the
+/// rename itself survives a power loss. A stale `.tmp` left by an earlier
+/// crash is simply overwritten.
+pub fn write_atomic<P: AsRef<Path>>(path: P, bytes: &[u8]) -> std::io::Result<()> {
+    let path = path.as_ref();
+    let name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name"))?;
+    let mut tmp_name = name.to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|mut f| {
+        f.write_all(bytes)?;
+        f.sync_all()
+    });
+    if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    std::fs::File::open(dir)?.sync_all()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,5 +228,27 @@ mod tests {
             Err(GraphError::Format(msg)) => assert!(msg.contains("SRSCSR01"), "{msg}"),
             other => panic!("expected a format error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn write_atomic_replaces_whole_files_only() {
+        let dir = std::env::temp_dir().join(format!("srs-write-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("link.bin");
+        let tmp = dir.join("link.bin.tmp");
+        // A truncated temp file from an earlier crash is overwritten.
+        std::fs::write(&tmp, b"torn").unwrap();
+        write_atomic(&path, b"first version").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"first version");
+        assert!(!tmp.exists(), "the temp file is renamed away");
+        // A write that cannot complete leaves the old file untouched: a
+        // directory squatting on the temp path makes the create fail.
+        std::fs::create_dir(&tmp).unwrap();
+        assert!(write_atomic(&path, b"second version, never visible").is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"first version");
+        std::fs::remove_dir(&tmp).unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -46,47 +46,41 @@ impl GammaTable {
     /// splitting vertices across `threads` workers. Deterministic in
     /// `seed`.
     pub fn build(g: &Graph, params: &SimRankParams, diag: &Diagonal, seed: u64, threads: usize) -> Self {
-        Self::build_for(g, params, diag, seed, threads, &[])
+        let all: Vec<VertexId> = g.vertices().collect();
+        GammaTable { t: params.t, gamma: Self::rows_for(g, params, diag, seed, threads, &all).into() }
     }
 
-    /// Like [`GammaTable::build`], but only the vertices with
-    /// `mask[v] == true` are computed (others are left as zero rows). An
-    /// empty mask means "all vertices". Because each vertex draws from its
-    /// own `(seed, vertex)` stream, a masked row is bit-identical to the
-    /// same row of a full build — the property incremental extension
-    /// relies on.
-    pub fn build_for(
+    /// Runs Algorithm 3 for the vertices `ids` only, returning their rows
+    /// packed in `ids` order (`ids.len() × T` values). Because each vertex
+    /// draws from its own `(seed, vertex)` stream, a packed row is
+    /// bit-identical to the same row of a full build — the property
+    /// incremental extension relies on. [`GammaTable::build`] is this
+    /// over every vertex.
+    pub(crate) fn rows_for(
         g: &Graph,
         params: &SimRankParams,
         diag: &Diagonal,
         seed: u64,
         threads: usize,
-        mask: &[bool],
-    ) -> Self {
+        ids: &[VertexId],
+    ) -> Vec<f32> {
         params.validate();
         assert!(threads >= 1);
-        let n = g.num_vertices() as usize;
-        assert!(mask.is_empty() || mask.len() == n, "mask length");
         let t = params.t as usize;
-        let mut gamma = vec![0.0f32; n * t];
-        let per = n.div_ceil(threads).max(1);
+        let mut gamma = vec![0.0f32; ids.len() * t];
+        let per = ids.len().div_ceil(threads).max(1);
         crossbeam::thread::scope(|scope| {
-            for (k, chunk) in gamma.chunks_mut(per * t).enumerate() {
+            for (chunk, ids) in gamma.chunks_mut(per * t).zip(ids.chunks(per)) {
                 scope.spawn(move |_| {
                     let engine = WalkEngine::new(g);
                     let r = params.r_gamma as usize;
                     let mut pos: Vec<VertexId> = Vec::with_capacity(r);
                     let mut counter = PositionCounter::new();
-                    let verts = chunk.len() / t;
-                    for i in 0..verts {
-                        let u = (k * per + i) as VertexId;
-                        if !mask.is_empty() && !mask[u as usize] {
-                            continue;
-                        }
+                    for (row, &u) in chunk.chunks_mut(t).zip(ids) {
                         let mut rng = Pcg32::from_parts(&[seed, 0xAA, u as u64]);
                         pos.clear();
                         pos.resize(r, u);
-                        for step in 0..t {
+                        for (step, slot) in row.iter_mut().enumerate() {
                             if step > 0 {
                                 engine.step_frontier_count(&mut pos, &mut rng, &mut counter);
                             } else {
@@ -96,7 +90,7 @@ impl GammaTable {
                                 .iter()
                                 .map(|(w, c)| diag.weight(w) * (c as f64 / r as f64).powi(2))
                                 .sum();
-                            chunk[i * t + step] = mu.sqrt() as f32;
+                            *slot = mu.sqrt() as f32;
                             if pos.is_empty() {
                                 // Every walk died: all later γ(u, ·) are
                                 // exactly 0, which the rows already hold.
@@ -108,7 +102,7 @@ impl GammaTable {
             }
         })
         .expect("worker thread panicked");
-        GammaTable { t: params.t, gamma: gamma.into() }
+        gamma
     }
 
     /// The stored row of `γ(u, ·)` values (length `T`).

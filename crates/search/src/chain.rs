@@ -4,7 +4,8 @@
 //! and re-load; after a small edit batch, almost all of those bytes are
 //! unchanged. A **delta bundle** persists only what [`extend_delta`]
 //! recomputed: the graph edits, the dirty-vertex set, and the dirty γ rows
-//! and candidate signatures. It is an ordinary `SRSBNDL1` container (`d.*`
+//! and candidate signatures — the packed [`crate::DirtyRows`] the
+//! extension already holds. It is an ordinary `SRSBNDL1` container (`d.*`
 //! section tags), so every section is checksummed and the whole file has a
 //! content fingerprint.
 //!
@@ -20,18 +21,18 @@
 //! graph), so a corrupted delta fails closed even under lazy `mmap`
 //! options for the base.
 //!
-//! Splicing is deterministic row surgery, not recomputation: the spliced
-//! dataset is bit-identical to what [`extend_delta`] returned when the
-//! delta was packed. A chain whose deltas were packed at
-//! `staleness_depth = T − 1` therefore serves byte-identical answers to a
-//! full rebuild — and to the compacted bundle [`compact_chain`] writes
-//! (fold the chain back into a base snapshot when it grows deep).
+//! Splicing is deterministic row surgery, not recomputation: replay
+//! re-applies the edits as a row merge and runs the same index splice
+//! [`extend_delta`] ran, so the spliced dataset is bit-identical to what
+//! it returned when the delta was packed. A chain whose deltas were
+//! packed at `staleness_depth = T − 1` therefore serves byte-identical
+//! answers to a full rebuild — and to the compacted bundle
+//! [`compact_chain`] writes (fold the chain back into a base snapshot
+//! when it grows deep).
 
-use crate::extend::{extend_delta, ExtendStats};
+use crate::extend::{extend_delta, splice_index, ExtendStats};
 use crate::persist::PersistError;
-use crate::snapshot::{load_snapshot, pack, LoadOptions, Loaded, SnapshotInfo, SnapshotVerifier};
-use crate::topk::TopKIndex;
-use crate::{bounds::GammaTable, index::CandidateIndex, snapshot::Dataset};
+use crate::snapshot::{load_snapshot, pack, Dataset, LoadOptions, Loaded, SnapshotInfo, SnapshotVerifier};
 use srs_graph::container::{fold_fingerprints, BundleReader, BundleWriter, VerifyMode};
 use srs_graph::storage::{BundleBuf, SharedSlice};
 use srs_graph::{GraphDelta, VertexId};
@@ -107,7 +108,7 @@ pub fn build_delta(
     let new = batch.apply(old).map_err(|e| PersistError::Format(e.to_string()))?;
     let out = extend_delta(base.index(), old, &new, staleness_depth, threads)
         .map_err(|e| PersistError::Format(e.to_string()))?;
-    let dirty_ids: Vec<VertexId> = (0..new.num_vertices()).filter(|&v| out.dirty[v as usize]).collect();
+    let rows = &out.rows;
 
     let mut meta = Vec::with_capacity(DELTA_META_LEN);
     meta.extend_from_slice(&DELTA_VERSION.to_le_bytes());
@@ -115,27 +116,16 @@ pub fn build_delta(
     meta.extend_from_slice(&old.num_vertices().to_le_bytes());
     meta.extend_from_slice(&new.num_vertices().to_le_bytes());
     meta.extend_from_slice(&parent_fingerprint.to_le_bytes());
-    meta.extend_from_slice(&(dirty_ids.len() as u32).to_le_bytes());
+    meta.extend_from_slice(&(rows.ids.len() as u32).to_le_bytes());
     meta.extend_from_slice(&0u32.to_le_bytes()); // padding
-
-    let steps = out.index.gamma.steps() as usize;
-    let mut gamma_rows: Vec<f32> = Vec::with_capacity(dirty_ids.len() * steps);
-    let mut cand_off: Vec<u64> = Vec::with_capacity(dirty_ids.len() + 1);
-    let mut cand_ent: Vec<VertexId> = Vec::new();
-    cand_off.push(0);
-    for &v in &dirty_ids {
-        gamma_rows.extend_from_slice(out.index.gamma.row(v));
-        cand_ent.extend_from_slice(out.index.candidates.signatures(v));
-        cand_off.push(cand_ent.len() as u64);
-    }
 
     let mut w = BundleWriter::new().page_aligned();
     w.add_bytes(SEC_DELTA_META, 8, meta);
     w.add_bytes(SEC_DELTA_EDITS, 8, batch.to_bytes());
-    w.add_pod(SEC_DELTA_DIRTY, &dirty_ids);
-    w.add_pod(SEC_DELTA_GAMMA, &gamma_rows);
-    w.add_pod(SEC_DELTA_CAND_OFF, &cand_off);
-    w.add_pod(SEC_DELTA_CAND_ENT, &cand_ent);
+    w.add_pod(SEC_DELTA_DIRTY, &rows.ids);
+    w.add_pod(SEC_DELTA_GAMMA, &rows.gamma);
+    w.add_pod(SEC_DELTA_CAND_OFF, &rows.sig_offsets);
+    w.add_pod(SEC_DELTA_CAND_ENT, &rows.sig_entries);
     let bytes = w.to_bytes();
     let fingerprint = BundleReader::open_shared(std::sync::Arc::new(bytes.clone()))?.fingerprint();
     let dataset = Dataset::new(new, out.index)?;
@@ -223,34 +213,14 @@ pub fn splice_delta(base: &Dataset, r: &BundleReader) -> Result<(Dataset, DeltaH
     if cand_ent.iter().any(|&v| v >= new_n) {
         return Err(fail("candidate signature entry out of range".into()));
     }
+    if cand_off.windows(2).any(|w| cand_ent[w[0] as usize..w[1] as usize].windows(2).any(|p| p[0] >= p[1])) {
+        return Err(fail("candidate signature row not strictly increasing".into()));
+    }
 
     // Row surgery: dirty rows from the delta, clean rows from the base —
-    // exactly the splice `extend_delta` performed when the delta was
-    // packed, so the result is bit-identical to it.
-    let su = steps as usize;
-    let mut gamma_raw: Vec<f32> = Vec::with_capacity(new_n as usize * su);
-    let mut offsets: Vec<u64> = Vec::with_capacity(new_n as usize + 1);
-    let mut entries: Vec<VertexId> = Vec::new();
-    offsets.push(0);
-    let mut d = 0usize; // cursor into dirty_ids
-    for v in 0..new_n {
-        if d < dirty_ids.len() && dirty_ids[d] == v {
-            gamma_raw.extend_from_slice(&gamma_rows[d * su..(d + 1) * su]);
-            entries.extend_from_slice(&cand_ent[cand_off[d] as usize..cand_off[d + 1] as usize]);
-            d += 1;
-        } else {
-            gamma_raw.extend_from_slice(base.index().gamma.row(v));
-            entries.extend_from_slice(base.index().candidates.signatures(v));
-        }
-        offsets.push(entries.len() as u64);
-    }
-    let index = TopKIndex {
-        params: base.index().params().clone(),
-        diag: base.index().diag.clone(),
-        gamma: GammaTable::from_raw(steps, gamma_raw),
-        candidates: CandidateIndex::from_raw_parts(new_n, offsets, entries),
-        seed: base.index().seed,
-    };
+    // the same splice `extend_delta` performed when the delta was packed,
+    // so the result is bit-identical to it.
+    let index = splice_index(base.index(), new_n, &dirty_ids, &gamma_rows, &cand_off, &cand_ent);
     Ok((Dataset::new(new, index)?, header))
 }
 
@@ -374,7 +344,7 @@ pub fn compact_chain<P: AsRef<Path>, W: Write>(
 mod tests {
     use super::*;
     use crate::snapshot::pack_to_bytes;
-    use crate::topk::QueryOptions;
+    use crate::topk::{QueryOptions, TopKIndex};
     use crate::{Diagonal, SimRankParams};
     use srs_graph::gen;
 

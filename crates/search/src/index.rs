@@ -57,42 +57,57 @@ impl CandidateIndex {
     /// deterministically in `seed`. Vertices are split across `threads`
     /// workers.
     pub fn build(g: &Graph, params: &SimRankParams, seed: u64, threads: usize) -> Self {
-        Self::build_for(g, params, seed, threads, &[])
+        Self::build_observed(g, params, seed, threads, &BuildObs::default())
     }
 
-    /// Like [`CandidateIndex::build`], but only vertices with
-    /// `mask[v] == true` get signatures (others stay empty). Empty mask =
-    /// all vertices. Per-vertex `(seed, vertex)` streams make masked rows
-    /// bit-identical to a full build's rows (incremental extension).
-    pub fn build_for(g: &Graph, params: &SimRankParams, seed: u64, threads: usize, mask: &[bool]) -> Self {
-        Self::build_observed(g, params, seed, threads, mask, &BuildObs::default())
-    }
-
-    /// [`CandidateIndex::build_for`] with observation hooks: per-vertex
+    /// [`CandidateIndex::build`] with observation hooks: per-vertex
     /// walk-generation and coincidence-probe durations
     /// (`srs_build_stage_ns{stage=...}`, accumulated worker-locally and
-    /// merged once per worker), CSR assembly time, and per-chunk progress.
-    /// With hooks absent this takes no clock readings in the vertex loop;
-    /// either way the built index is bit-identical — the hooks never touch
-    /// an RNG stream.
+    /// merged once per worker), inverted-map assembly time, and
+    /// per-chunk progress. With hooks absent this takes no clock readings
+    /// in the vertex loop; either way the built index is bit-identical —
+    /// the hooks never touch an RNG stream.
     pub fn build_observed(
         g: &Graph,
         params: &SimRankParams,
         seed: u64,
         threads: usize,
-        mask: &[bool],
         obs: &BuildObs<'_>,
     ) -> Self {
+        let all: Vec<VertexId> = g.vertices().collect();
+        let (offsets, entries) = Self::signatures_for(g, params, seed, threads, &all, obs);
+        let t_asm = obs.metrics.is_some().then(Instant::now);
+        let index = Self::from_raw_parts(g.num_vertices(), offsets, entries);
+        if let (Some(m), Some(t)) = (obs.metrics, t_asm) {
+            m.build_stages[3].observe(t.elapsed().as_nanos() as u64);
+        }
+        index
+    }
+
+    /// Runs Algorithm 4 for the vertices `ids` only, returning their
+    /// sorted signature rows packed in `ids` order as a CSR
+    /// `(offsets, entries)` with `ids.len() + 1` offsets. Per-vertex
+    /// `(seed, vertex)` streams make each packed row bit-identical to the
+    /// same row of a full build (incremental extension relies on this);
+    /// [`CandidateIndex::build`] is this over every vertex plus the
+    /// inverted map.
+    pub(crate) fn signatures_for(
+        g: &Graph,
+        params: &SimRankParams,
+        seed: u64,
+        threads: usize,
+        ids: &[VertexId],
+        obs: &BuildObs<'_>,
+    ) -> (Vec<u64>, Vec<VertexId>) {
         params.validate();
         assert!(threads >= 1);
-        let n = g.num_vertices() as usize;
-        assert!(mask.is_empty() || mask.len() == n, "mask length");
+        let n = ids.len();
         // Self-scheduling work-stealing: workers grab [`BUILD_CHUNK`]-sized
-        // vertex ranges off a shared atomic cursor, so degree-skewed graphs
+        // runs of `ids` off a shared atomic cursor, so degree-skewed graphs
         // (where a static split strands whole workers behind a few hub-heavy
         // ranges) stay load-balanced. Determinism is unaffected: each vertex
         // draws from its own `(seed, vertex)` stream, and the per-chunk
-        // results are reassembled in vertex order regardless of which worker
+        // results are reassembled in `ids` order regardless of which worker
         // produced them.
         let cursor = AtomicUsize::new(0);
         let collected: parking_lot::Mutex<Vec<(usize, Vec<Vec<VertexId>>)>> =
@@ -119,13 +134,8 @@ impl CandidateIndex {
                         }
                         let chunk_end = (chunk_start + BUILD_CHUNK).min(n);
                         let mut local: Vec<Vec<VertexId>> = Vec::with_capacity(chunk_end - chunk_start);
-                        for u in chunk_start..chunk_end {
-                            if !mask.is_empty() && !mask[u] {
-                                local.push(Vec::new());
-                                continue;
-                            }
+                        for &u in &ids[chunk_start..chunk_end] {
                             sig.clear();
-                            let u = u as VertexId;
                             let mut rng = Pcg32::from_parts(&[seed, 0xC4, u as u64]);
                             let mut walk_ns = 0u64;
                             let mut probe_ns = 0u64;
@@ -184,8 +194,6 @@ impl CandidateIndex {
         collected.sort_by_key(|(s, _)| *s);
         let partials: Vec<Vec<Vec<VertexId>>> = collected.into_iter().map(|(_, l)| l).collect();
 
-        // Assemble forward CSR.
-        let t_asm = obs.metrics.is_some().then(Instant::now);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u64);
         let total: usize = partials.iter().flat_map(|c| c.iter().map(Vec::len)).sum();
@@ -194,17 +202,7 @@ impl CandidateIndex {
             entries.extend_from_slice(sigs);
             offsets.push(entries.len() as u64);
         }
-        let (inv_offsets, inv_entries) = invert(n, &offsets, &entries);
-        if let (Some(m), Some(t)) = (obs.metrics, t_asm) {
-            m.build_stages[3].observe(t.elapsed().as_nanos() as u64);
-        }
-        CandidateIndex {
-            n: n as u32,
-            offsets: offsets.into(),
-            entries: entries.into(),
-            inv_offsets: inv_offsets.into(),
-            inv_entries: inv_entries.into(),
-        }
+        (offsets, entries)
     }
 
     /// Sorted signatures of `u` (`Γ(u_left)` in `H`).
@@ -340,11 +338,12 @@ impl CandidateIndex {
         }
     }
 
-    /// Assembles from a persisted forward CSR *and* a persisted inverted
-    /// side (which may cover only one shard's vertex range). The caller
-    /// (the persist layer) is responsible for having validated both sides
-    /// — this only asserts the shape invariants that are programming
-    /// errors rather than data errors.
+    /// Assembles from a forward CSR *and* an inverted side — persisted
+    /// ones (the inverted side may cover only one shard's vertex range)
+    /// or the pair the index splice just patched. The caller is
+    /// responsible for both sides being valid and consistent — this only
+    /// asserts the shape invariants that are programming errors rather
+    /// than data errors.
     pub(crate) fn from_parts_with_inverted(
         n: u32,
         offsets: impl Into<srs_graph::storage::SharedSlice<u64>>,

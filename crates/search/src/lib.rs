@@ -45,7 +45,7 @@ pub use chain::{build_delta, compact_chain, load_chain, BuiltDelta, ChainInfo, D
 pub use engine::{
     AppliedDelta, BatchResult, LatencySummary, QueryEngine, ServingEngine, WaveOutcome, WaveQuery,
 };
-pub use extend::{extend_delta, ExtendError, ExtendOutcome, ExtendStats};
+pub use extend::{extend_delta, DirtyRows, ExtendError, ExtendOutcome, ExtendStats};
 pub use index::SeenStamps;
 pub use obs::{BuildObs, ServingMetrics, StageTimings};
 pub use sharded::{EngineHandle, ShardedEngine};

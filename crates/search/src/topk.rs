@@ -327,7 +327,7 @@ impl TopKIndex {
         if let Some(m) = obs.metrics {
             m.build_stages[0].observe(t0.elapsed().as_nanos() as u64);
         }
-        let candidates = CandidateIndex::build_observed(g, params, mix_seed(&[seed, 2]), threads, &[], obs);
+        let candidates = CandidateIndex::build_observed(g, params, mix_seed(&[seed, 2]), threads, obs);
         TopKIndex { params: params.clone(), diag, gamma, candidates, seed }
     }
 

@@ -937,9 +937,11 @@ fn ingest_reply(shared: &Shared, req: &http::Request) -> Reply {
     // The engine is already serving the edited graph; persist the chain
     // link so reloads and restarts replay it. A write failure leaves the
     // served state ahead of the on-disk chain — report it loudly (a
-    // reload would revert the batch) and do not advance the chain.
+    // reload would revert the batch) and do not advance the chain. The
+    // link lands atomically (temp file, fsync, rename): a crash mid-write
+    // never leaves a torn link that would stop a restart on the chain.
     let path = delta_path(&shared.snapshot, chain.depth() + 1);
-    if let Err(e) = std::fs::write(&path, &applied.bytes) {
+    if let Err(e) = srs_graph::io::write_atomic(&path, &applied.bytes) {
         shared.metrics.ingest_failures.inc();
         return error_reply(
             500,

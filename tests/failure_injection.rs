@@ -3,7 +3,11 @@
 
 use proptest::prelude::*;
 use simrank_search::graph::{gen, io};
-use simrank_search::search::{persist, Diagonal, SimRankParams, TopKIndex};
+use simrank_search::search::{
+    load_chain, persist, snapshot, Diagonal, LoadOptions, SimRankParams, TopKIndex,
+};
+use srs_serve::{HttpClient, Server, ServerConfig};
+use std::path::{Path, PathBuf};
 
 fn sample_index_bytes() -> Vec<u8> {
     let g = gen::copying_web(60, 3, 0.8, 4);
@@ -77,4 +81,58 @@ proptest! {
     fn edge_list_with_arbitrary_text_never_panics(s in "\\PC{0,200}") {
         let _ = io::read_edge_list(s.as_bytes());
     }
+}
+
+/// Starts a server on `snapshot` replaying `deltas`, posts `edits` to
+/// `/admin/ingest`, checks the reply names chain depth `depth`, and
+/// shuts the server down.
+fn serve_and_ingest(snapshot: &Path, deltas: &[PathBuf], edits: &str, depth: usize) {
+    let config = ServerConfig {
+        snapshot: snapshot.to_path_buf(),
+        deltas: deltas.to_vec(),
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(config).expect("the server starts on its chain");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let mut c = HttpClient::connect(addr).unwrap();
+    let info = c.get("/info").unwrap();
+    assert!(info.body_str().contains(&format!("\"chain_depth\":{}", deltas.len())), "{}", info.body_str());
+    let resp = c.post_body("/admin/ingest", edits.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert!(resp.body_str().contains(&format!("\"chain_depth\":{depth}")), "{}", resp.body_str());
+    assert_eq!(c.post("/admin/quit").unwrap().status, 200);
+    handle.join().unwrap().unwrap();
+}
+
+/// A crash while `/admin/ingest` persists a chain link can leave only a
+/// truncated `<link>.tmp` beside the chain, never a torn link at the
+/// final path: the server restarts on its chain with the stray temp file
+/// present, and the next ingest overwrites it with a complete link.
+#[test]
+fn torn_temp_file_beside_the_chain_does_not_block_restart() {
+    let dir = std::env::temp_dir().join(format!("srs-torn-chain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("base.srs");
+    let g = gen::copying_web(200, 4, 0.8, 3);
+    let params = SimRankParams { r_bounds: 200, r_gamma: 25, ..Default::default() };
+    let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 1);
+    io::write_atomic(&base, &snapshot::pack_to_bytes(&g, &idx)).unwrap();
+    let link = |k: u32| dir.join(format!("base.srs.d{k:04}"));
+
+    serve_and_ingest(&base, &[], "grow 201\n+ 200 3\n+ 5 200\n- 1 0\n", 1);
+    let link1 = std::fs::read(link(1)).unwrap();
+
+    // The crash: link 2's bytes only partly reached its temp file.
+    let tmp2 = dir.join("base.srs.d0002.tmp");
+    std::fs::write(&tmp2, &link1[..link1.len() / 3]).unwrap();
+    assert!(!link(2).exists(), "a crash before the rename leaves no link 2");
+
+    serve_and_ingest(&base, &[link(1)], "+ 7 200\n- 200 3\n", 2);
+    assert!(!tmp2.exists(), "the stale temp file is overwritten and renamed away");
+    let (_, _, chain, _) = load_chain(&base, &[link(1), link(2)], &LoadOptions::default()).unwrap();
+    assert_eq!(chain.depth, 2);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
