@@ -100,11 +100,83 @@ impl HotsetPhase {
     }
 }
 
+/// Where a sweep was measured: the load generator's checkout and host,
+/// and the facts the server reported about itself.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SweepProvenance {
+    /// The working directory's commit, suffixed `-dirty` when the tree
+    /// has uncommitted changes (`unknown` outside a checkout).
+    pub commit: String,
+    /// Hardware threads of the load-generating host.
+    pub nproc: usize,
+    /// CPU model of the load-generating host (`unknown` if unreadable).
+    pub cpu: String,
+    /// `(name, raw JSON value)` pairs copied from the server's `/info`
+    /// (graph size, threads, dispatch loops, batch window, cache
+    /// capacity, fingerprint).
+    pub server: Vec<(String, String)>,
+}
+
+impl SweepProvenance {
+    /// The `/info` fields a sweep records.
+    pub const SERVER_FIELDS: [&'static str; 7] = [
+        "vertices",
+        "edges",
+        "threads",
+        "dispatch_loops",
+        "batch_window_us",
+        "cache_capacity",
+        "fingerprint",
+    ];
+
+    /// This host's commit, `nproc` and CPU model, with the given server
+    /// fields.
+    pub fn collect(server: Vec<(String, String)>) -> Self {
+        let commit = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=40"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string());
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split(':').nth(1))
+                    .map(|m| m.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        SweepProvenance {
+            commit,
+            nproc: std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1),
+            cpu,
+            server,
+        }
+    }
+
+    fn to_json(&self) -> String {
+        let server: Vec<String> =
+            self.server.iter().map(|(k, v)| format!("{}: {v}", json_string(k))).collect();
+        format!(
+            "{{\"commit\": {}, \"nproc\": {}, \"cpu\": {}, \"server\": {{{}}}}}",
+            json_string(&self.commit),
+            self.nproc,
+            json_string(&self.cpu),
+            server.join(", ")
+        )
+    }
+}
+
 /// A full rate-sweep run against one server.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeBenchReport {
     /// Server address the sweep targeted.
     pub addr: String,
+    /// Where the sweep was measured (`loadgen --sweep` fills it; omitted
+    /// from the JSON when absent).
+    pub provenance: Option<SweepProvenance>,
     /// Measured rungs, in ascending offered-rate order.
     pub entries: Vec<ServeBenchEntry>,
     /// Hotset-rotation phases (`--hotset-shift` runs only; empty for a
@@ -115,7 +187,7 @@ pub struct ServeBenchReport {
 impl ServeBenchReport {
     /// An empty report for `addr`.
     pub fn new(addr: impl Into<String>) -> Self {
-        Self { addr: addr.into(), entries: Vec::new(), hotset: Vec::new() }
+        Self { addr: addr.into(), provenance: None, entries: Vec::new(), hotset: Vec::new() }
     }
 
     /// Records one rung.
@@ -143,6 +215,9 @@ impl ServeBenchReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"addr\": {},\n", json_string(&self.addr)));
+        if let Some(p) = &self.provenance {
+            out.push_str(&format!("  \"provenance\": {},\n", p.to_json()));
+        }
         match self.knee_rate() {
             Some(rate) => out.push_str(&format!("  \"knee_rate\": {rate:.1},\n")),
             None => out.push_str("  \"knee_rate\": null,\n"),
@@ -263,6 +338,23 @@ mod tests {
         assert!(j.contains("\"knee_rate\": 400.0"));
         assert!(j.contains("\"achieved_qps\": 100.0"));
         assert_eq!(j.matches("},\n").count(), 1);
+        assert!(!j.contains("\"provenance\""), "{j}");
+    }
+
+    #[test]
+    fn provenance_names_host_and_server() {
+        let mut r = ServeBenchReport::new("x");
+        r.push(rung(100.0, 200, 2.0, 800.0));
+        let server = vec![
+            ("vertices".to_string(), "100000".to_string()),
+            ("fingerprint".to_string(), "\"00ff\"".to_string()),
+        ];
+        r.provenance = Some(SweepProvenance { server, ..SweepProvenance::collect(Vec::new()) });
+        let p = r.provenance.as_ref().unwrap();
+        assert!(p.nproc >= 1 && !p.commit.is_empty() && !p.cpu.is_empty());
+        let j = r.to_json();
+        assert!(j.contains("\"server\": {\"vertices\": 100000, \"fingerprint\": \"00ff\"}}"), "{j}");
+        assert!(j.contains("\"nproc\": "), "{j}");
     }
 
     #[test]

@@ -33,7 +33,7 @@ usage:
   srs serve      --snapshot FILE.srs [--deltas D1,D2,...] [--staleness-depth N]
                  [--mmap [--verify-on-load] [--prefault]]
                  [--addr 127.0.0.1:7171] [--threads T] [--max-batch 64]
-                 [--batch-window-us 500] [--queue 1024] [--cache 4096] [--k 20]
+                 [--batch-window-us 0] [--queue 1024] [--cache 4096] [--k 20]
                  [--read-timeout-s 60] [--max-conns 1024] [--fast-tier off|auto|always]
                  [--trace-sample N] [--slow-query-ms T]
   srs delta      --snapshot FILE.srs [--deltas D1,D2,...] --edits FILE|- --out FILE.d
@@ -717,7 +717,9 @@ fn serve(args: &Args) -> Result<String, String> {
         addr: args.opt("addr").unwrap_or(&defaults.addr).to_string(),
         threads: args.get_or("threads", defaults.threads)?,
         max_batch: args.get_or("max-batch", defaults.max_batch)?,
-        batch_window: std::time::Duration::from_micros(args.get_or("batch-window-us", 500)?),
+        batch_window: std::time::Duration::from_micros(
+            args.get_or("batch-window-us", defaults.batch_window.as_micros() as u64)?,
+        ),
         queue_capacity: args.get_or("queue", defaults.queue_capacity)?,
         cache_capacity: args.get_or("cache", defaults.cache_capacity)?,
         default_k: args.get_or("k", defaults.default_k)?,
@@ -1094,7 +1096,8 @@ fn loadgen(args: &Args) -> Result<String, String> {
     if info.status != 200 {
         return Err(format!("{addr}: GET /info answered {}", info.status));
     }
-    let n = json_u64_field(&info.body_str(), "vertices")
+    let info = info.body_str().to_string();
+    let n = json_u64_field(&info, "vertices")
         .ok_or_else(|| format!("{addr}: /info response had no vertex count"))? as usize;
     if n == 0 {
         return Err(format!("{addr}: server graph has no vertices"));
@@ -1113,6 +1116,11 @@ fn loadgen(args: &Args) -> Result<String, String> {
             rates.push(r);
         }
         let mut report = srs_bench::servebench::ServeBenchReport::new(addr.clone());
+        let server = srs_bench::servebench::SweepProvenance::SERVER_FIELDS
+            .iter()
+            .filter_map(|&f| json_raw_field(&info, f).map(|v| (f.to_string(), v.to_string())))
+            .collect();
+        report.provenance = Some(srs_bench::servebench::SweepProvenance::collect(server));
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -1408,18 +1416,19 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
-/// Pulls an unsigned-integer field out of the server's (known-shape) JSON
-/// — all the parsing `loadgen` needs.
-fn json_u64_field(body: &str, key: &str) -> Option<u64> {
+/// The raw value of a top-level number or plain-string field in the
+/// server's (known-shape, flat) JSON — all the parsing `loadgen` needs.
+fn json_raw_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\":");
     let at = body.find(&pat)? + pat.len();
-    let rest = body[at..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    if end == 0 {
-        None
-    } else {
-        rest[..end].parse().ok()
-    }
+    let rest = &body[at..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim()).filter(|v| !v.is_empty())
+}
+
+/// An unsigned-integer field of the server's JSON (see [`json_raw_field`]).
+fn json_u64_field(body: &str, key: &str) -> Option<u64> {
+    json_raw_field(body, key)?.parse().ok()
 }
 
 fn topk_all(args: &Args) -> Result<String, String> {
@@ -1895,7 +1904,7 @@ mod tests {
         };
         let addr = format!("127.0.0.1:{port}");
         let cmd = format!(
-            "serve --snapshot {} --addr {addr} --max-batch 8 --batch-window-us 200 \
+            "serve --snapshot {} --addr {addr} --threads 2 --max-batch 8 \
              --trace-sample 1 --slow-query-ms 500",
             s_path.display()
         );
@@ -1918,6 +1927,10 @@ mod tests {
         let info = client.get("/info").unwrap().body_str().to_string();
         assert!(info.contains("\"trace_sample\":1"), "{info}");
         assert!(info.contains("\"slow_query_ms\":500"), "{info}");
+        // No --batch-window-us: the library default (no linger) applies,
+        // and one dispatcher loop runs per engine thread.
+        assert!(info.contains("\"batch_window_us\":0"), "{info}");
+        assert!(info.contains("\"dispatch_loops\":2"), "{info}");
         assert!(resp.trace_id.is_some(), "tracing on: query response must carry a trace id");
         assert_ne!(client.get("/debug/traces").unwrap().body_str().trim(), "[]");
         assert_eq!(client.post("/admin/quit").unwrap().status, 200);
@@ -1994,7 +2007,7 @@ mod tests {
         };
         let addr = format!("127.0.0.1:{port}");
         let cmd = format!(
-            "serve --snapshot {} --deltas {},{} --addr {addr}",
+            "serve --snapshot {} --deltas {},{} --addr {addr} --batch-window-us 200",
             s_path.display(),
             d1.display(),
             d2.display()
@@ -2014,6 +2027,7 @@ mod tests {
         let info = client.get("/info").unwrap().body_str().to_string();
         assert!(info.contains("\"chain_depth\":2"), "{info}");
         assert!(info.contains("\"vertices\":202"), "{info}");
+        assert!(info.contains("\"batch_window_us\":200"), "{info}");
         std::fs::write(&e3, "+ 201 5\n").unwrap();
         let out = run(&format!("ingest --addr {addr} --edits {}", e3.display())).unwrap();
         assert!(out.contains("ingested +1 -0 edges"), "{out}");
@@ -2078,6 +2092,7 @@ mod tests {
         }
         assert_eq!(json_u64_field("{\"vertices\":120,\"edges\":480}", "vertices"), Some(120));
         assert_eq!(json_u64_field("{\"edges\":480}", "vertices"), None);
+        assert_eq!(json_raw_field("{\"a\":1,\"fingerprint\":\"00ff\"}", "fingerprint"), Some("\"00ff\""));
         assert_eq!(parse_query_lines("# c\n1\n 2 \n\n3\n", "w").unwrap(), vec![1, 2, 3]);
         assert!(parse_query_lines("", "w").is_err());
         assert!(parse_query_lines("x\n", "w").unwrap_err().contains("w:1:"));

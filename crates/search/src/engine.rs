@@ -258,7 +258,9 @@ fn serve_batch_into(
 
 /// The parallel worker loop: answers `queries[i]` into `results[i]` /
 /// `latencies[i]` across the context's threads and returns the summed
-/// stats. All three slices have the same length.
+/// stats. All three slices have the same length. The first chunk runs on
+/// the calling thread and only the others are spawned, so a one-thread
+/// context spawns nothing.
 fn run_workers(
     ctx: &ServeCtx<'_>,
     queries: &[VertexId],
@@ -273,35 +275,35 @@ fn run_workers(
     // independent of it.
     let threads = ctx.threads.min(n);
     let per = n.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for ((q_chunk, r_chunk), l_chunk) in
-            queries.chunks(per).zip(results.chunks_mut(per)).zip(latencies.chunks_mut(per))
-        {
-            handles.push(scope.spawn(move |_| {
-                let mut scratch = ctx.take_scratch();
-                let walk_base = srs_mc::obs::thread_counts();
-                let mut local = QueryStats::default();
-                for ((&u, slot), lat) in q_chunk.iter().zip(r_chunk).zip(l_chunk) {
-                    let t0 = Instant::now();
-                    scratch.query_into(ctx.g, ctx.index, u, k, opts, slot);
-                    *lat = t0.elapsed();
-                    local.accumulate(&slot.stats);
-                }
-                // Batch-end merge: this worker's stage timings and
-                // walk-step class delta fold into the shared cells in
-                // one lock-free pass (per worker, not per query).
-                if let Some(m) = ctx.metrics {
-                    scratch.merge_obs_into(m);
-                    m.record_walk_steps(srs_mc::obs::thread_counts().since(&walk_base));
-                } else {
-                    scratch.clear_obs();
-                }
-                ctx.put_scratch(scratch);
-                local
-            }));
+    let work = move |q_chunk: &[VertexId], r_chunk: &mut [TopKResult], l_chunk: &mut [Duration]| {
+        let mut scratch = ctx.take_scratch();
+        let walk_base = srs_mc::obs::thread_counts();
+        let mut local = QueryStats::default();
+        for ((&u, slot), lat) in q_chunk.iter().zip(r_chunk).zip(l_chunk) {
+            let t0 = Instant::now();
+            scratch.query_into(ctx.g, ctx.index, u, k, opts, slot);
+            *lat = t0.elapsed();
+            local.accumulate(&slot.stats);
         }
-        let mut totals = QueryStats::default();
+        // Batch-end merge: this worker's stage timings and walk-step
+        // class delta fold into the shared cells in one lock-free pass
+        // (per worker, not per query).
+        if let Some(m) = ctx.metrics {
+            scratch.merge_obs_into(m);
+            m.record_walk_steps(srs_mc::obs::thread_counts().since(&walk_base));
+        } else {
+            scratch.clear_obs();
+        }
+        ctx.put_scratch(scratch);
+        local
+    };
+    let mut chunks = queries.chunks(per).zip(results.chunks_mut(per)).zip(latencies.chunks_mut(per));
+    let ((q_first, r_first), l_first) = chunks.next().expect("run_workers needs at least one query");
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .map(|((q_chunk, r_chunk), l_chunk)| scope.spawn(move |_| work(q_chunk, r_chunk, l_chunk)))
+            .collect();
+        let mut totals = work(q_first, r_first, l_first);
         for h in handles {
             totals.accumulate(&h.join().expect("query worker panicked"));
         }
@@ -492,8 +494,8 @@ impl ResultCache {
 
 /// One request inside a coalesced wave: a query vertex plus the `k` and
 /// options it arrived with. Waves let a network front end funnel
-/// concurrent single queries into the engine's batch path (where the
-/// throughput lives) — see [`ServingEngine::query_wave`].
+/// concurrent single queries into the engine's batch path — see
+/// [`ServingEngine::query_wave`].
 #[derive(Debug, Clone)]
 pub struct WaveQuery {
     /// The query vertex.
@@ -772,7 +774,7 @@ impl ServingEngine {
         let state = self.state();
         let capacity = self.cache_capacity();
         if capacity == 0 {
-            return serve_query(&self.ctx_for(&state), u, k, opts);
+            return serve_query(&self.ctx_for(&state, 1), u, k, opts);
         }
         let key = opts_key(k, opts);
         if let Some(hit) = state.cache.lock().get(u, key, k, opts) {
@@ -786,7 +788,7 @@ impl ServingEngine {
             }
             return hit;
         }
-        let res = serve_query(&self.ctx_for(&state), u, k, opts);
+        let res = serve_query(&self.ctx_for(&state, 1), u, k, opts);
         if let Some(m) = self.metrics_on.then_some(&*self.metrics) {
             m.cache_misses.inc();
         }
@@ -818,14 +820,18 @@ impl ServingEngine {
         opts: &QueryOptions,
         out: &mut BatchResult,
     ) {
-        self.query_batch_pinned(&self.state(), queries, k, opts, out);
+        self.query_batch_pinned(&self.state(), self.threads, queries, k, opts, out);
     }
 
-    /// The batch path against an explicitly pinned generation — the
-    /// caller decides how long the pin lasts (e.g. a whole wave).
+    /// The batch path against an explicitly pinned generation, split
+    /// across `threads` workers — the caller decides how long the pin
+    /// lasts (e.g. a whole wave) and how many threads the batch gets.
+    /// With caching enabled it probes every slot, computes the misses as
+    /// one inner batch, inserts them, and reassembles in input order.
     fn query_batch_pinned(
         &self,
         state: &EngineState,
+        threads: usize,
         queries: &[VertexId],
         k: usize,
         opts: &QueryOptions,
@@ -833,23 +839,9 @@ impl ServingEngine {
     ) {
         let capacity = self.cache_capacity();
         if capacity == 0 {
-            serve_batch_into(&self.ctx_for(state), queries, k, opts, out);
-        } else {
-            self.serve_batch_cached(state, capacity, queries, k, opts, out);
+            serve_batch_into(&self.ctx_for(state, threads), queries, k, opts, out);
+            return;
         }
-    }
-
-    /// The cached batch path: probe every slot, compute the misses as one
-    /// inner batch, insert them, and reassemble in input order.
-    fn serve_batch_cached(
-        &self,
-        state: &EngineState,
-        capacity: usize,
-        queries: &[VertexId],
-        k: usize,
-        opts: &QueryOptions,
-        out: &mut BatchResult,
-    ) {
         let started = Instant::now();
         let n = queries.len();
         let key = opts_key(k, opts);
@@ -873,7 +865,7 @@ impl ServingEngine {
             out.cache_miss_queries.clear();
             out.cache_miss_queries.extend(out.cache_miss_idx.iter().map(|&i| queries[i]));
             let mut inner = out.cache_inner.take().unwrap_or_default();
-            serve_batch_into(&self.ctx_for(state), &out.cache_miss_queries, k, opts, &mut inner);
+            serve_batch_into(&self.ctx_for(state, threads), &out.cache_miss_queries, k, opts, &mut inner);
             let mut cache = state.cache.lock();
             for (j, &i) in out.cache_miss_idx.iter().enumerate() {
                 let res = std::mem::take(&mut inner.results[j]);
@@ -914,13 +906,19 @@ impl ServingEngine {
     }
 
     /// Answers one **coalesced wave** of heterogeneous requests: requests
-    /// sharing `(k, options)` are grouped into a single engine batch (the
-    /// batch path is where the throughput lives), and every request's
-    /// result comes back in input order. This is the submission surface a
-    /// network front end drains its request queue through — see
+    /// sharing `(k, options)` are grouped into a single engine batch (one
+    /// pool checkout, in-batch dedup and cache probe per group), and every
+    /// request's result comes back in input order. This is the submission
+    /// surface a network front end drains its request queue through — see
     /// `srs-serve`'s dispatcher. Per-request answers are bit-identical to
     /// calling [`ServingEngine::query`] for each request alone: batching
     /// decides who computes together, never what the answer is.
+    ///
+    /// The wave runs entirely on the calling thread and spawns nothing: a
+    /// server gets its parallelism from running several waves at once
+    /// (one per dispatcher loop), not from splitting one wave across
+    /// workers. [`ServingEngine::query_batch`] keeps the `threads`-way
+    /// split for callers that hand the engine one large batch.
     ///
     /// The whole wave runs against **one** dataset generation, pinned at
     /// entry and reported in [`WaveOutcome::generation`]. Because the
@@ -963,7 +961,7 @@ impl ServingEngine {
             queries.clear();
             queries.extend(members.iter().map(|&i| wave[i].vertex));
             let q = &wave[*first];
-            self.query_batch_pinned(&state, &queries, q.k, &q.opts, &mut batch);
+            self.query_batch_pinned(&state, 1, &queries, q.k, &q.opts, &mut batch);
             out.batch_sizes.push(members.len() as u32);
             for (j, &i) in members.iter().enumerate() {
                 out.results[i] = std::mem::take(&mut batch.results[j]);
@@ -973,12 +971,12 @@ impl ServingEngine {
         out
     }
 
-    fn ctx_for<'a>(&'a self, state: &'a EngineState) -> ServeCtx<'a> {
+    fn ctx_for<'a>(&'a self, state: &'a EngineState, threads: usize) -> ServeCtx<'a> {
         ServeCtx {
             g: state.dataset.graph(),
             index: state.dataset.index(),
             pool: &state.pool,
-            threads: self.threads,
+            threads,
             metrics: self.metrics_on.then_some(&*self.metrics),
         }
     }

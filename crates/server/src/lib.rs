@@ -3,12 +3,12 @@
 //!
 //! A long-lived process that loads one `.srs` snapshot (heap or
 //! mmap-backed, unsharded or sharded), owns an [`EngineHandle`], and
-//! answers top-k SimRank queries over HTTP/1.1 + JSON. The design goal is to put the engine's *batch* path — where its
-//! throughput lives — behind a *single-query* network API without giving
-//! up either: concurrent requests are **coalesced** into engine waves by
-//! a bounded-queue dispatcher ([`dispatch::Coalescer`]), so N concurrent
-//! clients produce engine batches of ~N instead of N serialized
-//! single-vertex calls.
+//! answers top-k SimRank queries over HTTP/1.1 + JSON. Requests go
+//! through a bounded queue ([`dispatch::Coalescer`]) drained by one
+//! dispatcher loop per engine thread: each loop serves its own waves
+//! inline, so up to `threads` waves run at once, and requests that
+//! arrive while every loop is busy are **coalesced** into the next free
+//! loop's wave instead of waiting in line one by one.
 //!
 //! Everything is `std` — no async runtime, no HTTP crate (the workspace
 //! is offline). Threads are cheap at this concurrency (hundreds, not
@@ -104,11 +104,17 @@ pub struct ServerConfig {
     pub staleness_depth: Option<u32>,
     /// Listen address, e.g. `127.0.0.1:7171` (port 0 picks a free port).
     pub addr: String,
-    /// Engine worker threads (0 = all available parallelism).
+    /// Engine threads (0 = all available parallelism). The server runs
+    /// this many dispatcher loops, each serving its own waves inline,
+    /// and online ingest recomputes dirty rows on this many workers.
     pub threads: usize,
     /// Most queries coalesced into one wave.
     pub max_batch: usize,
-    /// How long the dispatcher lingers for late arrivals per wave.
+    /// How long a dispatcher loop lingers for late arrivals before it
+    /// serves a wave. Zero (the default) serves what is queued at once:
+    /// requests that arrive while every loop is busy still coalesce into
+    /// the next free loop's wave, so a linger only adds latency unless
+    /// arrivals are known to come in tight bursts.
     pub batch_window: Duration,
     /// Most queries waiting in the dispatch queue before 503.
     pub queue_capacity: usize,
@@ -163,7 +169,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7171".to_string(),
             threads: 0,
             max_batch: 64,
-            batch_window: Duration::from_micros(500),
+            batch_window: Duration::ZERO,
             queue_capacity: 1024,
             cache_capacity: 4096,
             default_k: 20,
@@ -275,8 +281,8 @@ struct ConnTable {
     open: HashMap<u64, TcpStream>,
 }
 
-/// State shared by the accept loop, connection threads, the dispatcher,
-/// and the SIGHUP watcher.
+/// State shared by the accept loop, connection threads, the dispatcher
+/// loops, and the SIGHUP watcher.
 struct Shared {
     engine: Arc<EngineHandle>,
     coalescer: Arc<Coalescer>,
@@ -374,7 +380,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Loads the snapshot, builds the engine + dispatcher, and binds the
+    /// Loads the snapshot, builds the engine + dispatch queue, and binds the
     /// listen socket. Nothing runs until [`Server::run`].
     pub fn bind(config: ServerConfig) -> Result<Self, ServeError> {
         let load_opts = LoadOptions {
@@ -443,9 +449,9 @@ impl Server {
         Arc::clone(&self.shared.engine)
     }
 
-    /// Serves until `POST /admin/quit`: spawns the dispatcher and SIGHUP
-    /// watcher, then accepts connections (one thread each, up to the
-    /// configured cap). On quit the dispatcher drains every accepted
+    /// Serves until `POST /admin/quit`: spawns the dispatcher loops and
+    /// the SIGHUP watcher, then accepts connections (one thread each, up
+    /// to the configured cap). On quit the loops drain every accepted
     /// query, and `run` then waits (bounded grace) for connection threads
     /// to finish writing their responses before returning.
     pub fn run(self) -> io::Result<()> {
@@ -811,12 +817,12 @@ const STAGE_SPANS: [&str; 4] = ["stage:enumerate", "stage:bounds", "stage:scan",
 /// but never server time to alarm on.
 ///
 /// Span durations are real measurements: the request/socket/linger/wave
-/// windows come from `now_ns` reads on this thread and the dispatcher,
-/// and the engine-stage durations are the same `Instant` reads that
-/// feed `srs_query_stage_ns`. Stage *offsets* inside the wave are
-/// synthesized sequentially from the wave start — within a wave the
-/// engine interleaves many queries' stages across workers, so only the
-/// durations (not the absolute stage start times) are faithful.
+/// windows come from `now_ns` reads on this thread and the dispatcher
+/// loop that served the wave, and the engine-stage durations are the
+/// same `Instant` reads that feed `srs_query_stage_ns`. Stage *offsets*
+/// inside the wave are synthesized sequentially from the wave start —
+/// a wave runs its queries one after another, so only the durations
+/// (not the absolute stage start times) are faithful.
 fn build_trace(
     trace_id: u64,
     read_start_ns: u64,
@@ -1030,7 +1036,7 @@ fn info_json(shared: &Shared) -> String {
     // `u32::MAX` marks an empty chain — render it as null, not a number.
     let min_depth_json = if min_depth == u32::MAX { "null".to_string() } else { min_depth.to_string() };
     format!(
-        "{{\"vertices\":{},\"edges\":{},\"generation\":{},\"threads\":{},\"shards\":{},\"mapped\":{},\"cache_capacity\":{},\"snapshot\":{},\"uptime_s\":{},\"version\":{},\"fingerprint\":\"{:016x}\",\"chain_depth\":{chain_depth},\"tip_fingerprint\":\"{tip:016x}\",\"chain_dirty_total\":{dirty_total},\"min_staleness_depth\":{min_depth_json},\"trace_sample\":{},\"slow_query_ms\":{}}}",
+        "{{\"vertices\":{},\"edges\":{},\"generation\":{},\"threads\":{},\"shards\":{},\"mapped\":{},\"cache_capacity\":{},\"snapshot\":{},\"uptime_s\":{},\"version\":{},\"fingerprint\":\"{:016x}\",\"chain_depth\":{chain_depth},\"tip_fingerprint\":\"{tip:016x}\",\"chain_dirty_total\":{dirty_total},\"min_staleness_depth\":{min_depth_json},\"trace_sample\":{},\"slow_query_ms\":{},\"dispatch_loops\":{},\"batch_window_us\":{}}}",
         dataset.graph().num_vertices(),
         dataset.graph().num_edges(),
         shared.engine.generation(),
@@ -1044,6 +1050,8 @@ fn info_json(shared: &Shared) -> String {
         shared.fingerprint.load(Ordering::Relaxed),
         shared.traces.sample_n(),
         shared.traces.slow_threshold_ns() / 1_000_000,
+        shared.engine.threads(),
+        shared.coalescer.window().as_micros(),
     )
 }
 
